@@ -153,7 +153,14 @@ class Sampler:
         self.kind = kind
         self.dataset = dataset
         self.rng = np.random.default_rng(seed)
-        self._by_class = [np.flatnonzero(dataset.labels == j) for j in range(dataset.num_classes)]
+        if kind == "class":
+            # Instance indices grouped by class (ascending within a class),
+            # with each class's start offset and size.
+            self._sizes = np.asarray(dataset.class_counts, dtype=np.int64)
+            if np.any(self._sizes == 0):
+                raise ValueError("class-balanced sampling needs at least one instance per class")
+            self._order = np.argsort(dataset.labels, kind="stable")
+            self._starts = np.cumsum(self._sizes) - self._sizes
 
     def next_indices(self, batch: int) -> np.ndarray:
         if batch < 1:
@@ -163,9 +170,8 @@ class Sampler:
             return self.rng.integers(0, n, size=batch)
         classes = self.rng.integers(0, self.dataset.num_classes, size=batch)
         picks = self.rng.random(batch)
-        return np.array(
-            [self._by_class[c][int(p * len(self._by_class[c]))] for c, p in zip(classes, picks)]
-        )
+        sizes = self._sizes[classes]
+        return self._order[self._starts[classes] + (picks * sizes).astype(np.int64)]
 
     def next_batch(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         idx = self.next_indices(batch)

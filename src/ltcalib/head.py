@@ -45,11 +45,25 @@ class GeneralizedHead:
         return self.w.shape[1]
 
     def forward(self, x) -> Tensor:
+        """Logits as one tape node; same values and gradients as the composite
+        ``(x @ (Tensor(r * W) + dW)) * s``."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.values.shape[1] != self.w.shape[0]:
             raise ValueError(f"feature width {x.values.shape[1]} != {self.w.shape[0]}")
-        eff = Tensor(self.r * self.w) + self.dw
-        return (x @ eff) * self.s
+        dw, s = self.dw, self.s
+        eff = self.r * self.w + dw.values
+        z = x.values @ eff
+
+        def backward(g):
+            g_z = g * s.values
+            if s.requires_grad:
+                s._accumulate((g * z).sum(axis=0))
+            if x.requires_grad:
+                x._accumulate(g_z @ eff.T)
+            if dw.requires_grad:
+                dw._accumulate(x.values.T @ g_z)
+
+        return Tensor._from_op(z * s.values, (x, dw, s), backward)
 
     __call__ = forward
 

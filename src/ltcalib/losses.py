@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import one_hot
-from .tensor import Tensor, log_softmax
+from .tensor import Tensor, softmax_cross_entropy
 
 __all__ = [
     "related_fn_eval",
@@ -127,12 +127,7 @@ def soft_ce_loss(q, logits: Tensor) -> Tensor:
     sample both q and logits may be 1-D. Gradient w.r.t. a logit row is
     sum(q)*p - q, i.e. the classical p - q when q is normalized.
     """
-    q = np.asarray(q, dtype=np.float64)
-    logp = log_softmax(logits)
-    if q.ndim == 1:
-        return -(Tensor(q) * logp).sum()
-    m = q.shape[0]
-    return -(Tensor(q) * logp).sum() * (1.0 / m)
+    return softmax_cross_entropy(np.atleast_2d(np.asarray(q, dtype=np.float64)), logits)
 
 
 def ce_loss(labels, logits: Tensor) -> Tensor:
@@ -148,10 +143,7 @@ def weighted_ce_loss(weights, labels, logits: Tensor) -> Tensor:
         raise ValueError("class weights must be positive")
     labels = np.atleast_1d(np.asarray(labels))
     k = logits.values.shape[-1]
-    q = one_hot(labels, k) * weights[labels][:, None]
-    if logits.values.ndim == 1:
-        return soft_ce_loss(q[0], logits)
-    return soft_ce_loss(q, logits)
+    return soft_ce_loss(one_hot(labels, k) * weights[labels][:, None], logits)
 
 
 def effective_number_weights(counts, gamma: float = 0.999) -> np.ndarray:

@@ -8,13 +8,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, relu
+from .tensor import Tensor, linear, relu
 
 __all__ = ["Linear", "BatchNorm", "BackboneConfig", "Backbone", "save_checkpoint", "load_checkpoint"]
 
 TRAIN = "train"
 EVAL = "eval"
 SHIFT = "shift"  # batch stats + EMA updates, affine frozen, no gradients
+MODES = (TRAIN, EVAL, SHIFT)
+
+
+def _check_frozen_input(x, mode: str):
+    """Eval and shift forwards carry no gradient, so refuse an input that wants one."""
+    if isinstance(x, Tensor) and x.requires_grad:
+        raise ValueError(f"{mode} mode records no gradient; got an input with requires_grad=True")
 
 
 class Linear:
@@ -30,8 +37,7 @@ class Linear:
             raise ValueError(
                 f"linear input width {x.values.shape[1]} != {self.weight.values.shape[1]}"
             )
-        out = x @ self.weight.T
-        return out + self.bias if self.bias is not None else out
+        return linear(x, self.weight, self.bias)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -46,6 +52,9 @@ class BatchNorm:
       eval:  normalize by running stats, no updates, no parameter gradients.
       shift: normalize by batch stats and keep updating the running stats,
              but the affine parameters are frozen and receive no gradient.
+
+    Eval and shift modes run on plain values: their output carries no
+    gradient, and an input with ``requires_grad`` is rejected.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -60,29 +69,58 @@ class BatchNorm:
         self.mode = TRAIN
 
     def __call__(self, h: Tensor) -> Tensor:
-        if self.mode == EVAL:
-            denom = np.sqrt(self.running_var + self.eps)
-            if h.requires_grad:
-                x_hat = (h - Tensor(self.running_mean)) / Tensor(denom)
-                return self.scale * x_hat + self.shift
-            x_hat = (h.values - self.running_mean) / denom
-            return Tensor(self.scale.values * x_hat + self.shift.values)
-        m = h.values.shape[0]
+        """Train mode records one tape node; eval and shift modes record none."""
+        if self.mode != TRAIN:
+            _check_frozen_input(h, self.mode)
+            return Tensor(self.normalize(h.values))
+        hv = h.values
+        m = hv.shape[0]
         if m < 2:
             raise ValueError("batch normalization needs batch size >= 2 in training modes")
-        if self.mode == SHIFT:
-            # Backbone is frozen during shift learning: pure value path.
-            mu = h.values.mean(axis=0)
-            var = ((h.values - mu) ** 2).mean(axis=0)
+        # The arithmetic, and in backward its order, is that of the composite
+        # graph mean -> diff -> var -> sqrt -> divide -> affine, so values,
+        # gradients and running statistics match it bit for bit.
+        inv_m = 1.0 / m
+        mu = hv.sum(axis=0) * inv_m
+        diff = hv - mu
+        var = (diff * diff).sum(axis=0) * inv_m
+        self._update_running(mu, var)
+        sd = np.sqrt(var + self.eps)
+        x_hat = diff / sd
+        scale, shift = self.scale, self.shift
+
+        def backward(g):
+            shift._accumulate(g.sum(axis=0))
+            scale._accumulate((g * x_hat).sum(axis=0))
+            if not h.requires_grad:
+                return
+            g_xhat = g * scale.values
+            g_sd = (-g_xhat * diff / sd**2).sum(axis=0)
+            g_sq = (g_sd * 0.5 / sd * inv_m) * diff  # through diff * diff, once per factor
+            g_diff = (g_xhat / sd + g_sq) + g_sq
+            g_mean = -g_diff.sum(axis=0) * inv_m  # h's share through the batch mean
+            h._accumulate(g_diff + g_mean)
+
+        return Tensor._from_op(scale.values * x_hat + shift.values, (h, scale, shift), backward)
+
+    def normalize(self, h: np.ndarray) -> np.ndarray:
+        """Eval or shift mode on plain values: affine frozen, nothing recorded.
+
+        Eval normalizes by the running statistics; shift normalizes by the
+        batch statistics and folds them into the running ones.
+        """
+        if self.mode == EVAL:
+            x_hat = (h - self.running_mean) / np.sqrt(self.running_var + self.eps)
+        elif self.mode == SHIFT:
+            if h.shape[0] < 2:
+                raise ValueError("batch normalization needs batch size >= 2 in training modes")
+            mu = h.mean(axis=0)
+            var = ((h - mu) ** 2).mean(axis=0)
             self._update_running(mu, var)
-            x_hat = (h.values - mu) / np.sqrt(var + self.eps)
-            return Tensor(self.scale.values * x_hat + self.shift.values)
-        mu = h.mean(axis=0)
-        diff = h - mu
-        var = (diff * diff).mean(axis=0)
-        self._update_running(mu.values, var.values)
-        x_hat = diff / (var + self.eps).sqrt()
-        return self.scale * x_hat + self.shift
+            x_hat = (h - mu) / np.sqrt(var + self.eps)
+        else:
+            raise ValueError(f"unknown batch-norm mode {self.mode!r}; expected one of {MODES}")
+        return self.scale.values * x_hat + self.shift.values
 
     def _update_running(self, mu: np.ndarray, var: np.ndarray):
         self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mu
@@ -123,15 +161,29 @@ class Backbone:
             prev = width
 
     def set_mode(self, mode: str):
+        if mode not in MODES:
+            raise ValueError(f"unknown backbone mode {mode!r}; expected one of {MODES}")
         for bn in self.norms:
             if bn is not None:
                 bn.mode = mode
 
     def forward(self, x, mode: str) -> Tensor:
+        """Features of a batch. Train mode records the tape; eval and shift
+        modes run on plain values and return a tensor with no gradient (an
+        input with ``requires_grad`` is rejected there)."""
         self.set_mode(mode)
-        h = x if isinstance(x, Tensor) else Tensor(x)
-        if h.values.shape[1] != self.cfg.in_dim:
-            raise ValueError(f"input width {h.values.shape[1]} != {self.cfg.in_dim}")
+        values = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        if values.shape[1] != self.cfg.in_dim:
+            raise ValueError(f"input width {values.shape[1]} != {self.cfg.in_dim}")
+        if mode != TRAIN:
+            _check_frozen_input(x, mode)
+            for lin, bn in zip(self.linears, self.norms):
+                values = values @ lin.weight.values.T + lin.bias.values
+                if bn is not None:
+                    values = bn.normalize(values)
+                values = values * (values > 0.0)
+            return Tensor(values)
+        h = x if isinstance(x, Tensor) else Tensor(values)
         for lin, bn in zip(self.linears, self.norms):
             h = lin(h)
             if bn is not None:

@@ -1,23 +1,28 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small dynamic-tape engine: each operation records its parents and a closure
-that routes the incoming gradient back to them. Enough coverage for MLPs,
-batch normalization, and softmax-based losses; nothing more.
+that routes the incoming gradient back to them. The elementwise ops form the
+general autodiff API; ``linear`` and ``softmax_cross_entropy`` are fused
+nodes that record one tape entry for a whole layer or loss. A fused backward
+repeats the arithmetic of the composite graph it replaces in the same order,
+so both give bit-identical gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "matmul", "relu", "log_softmax", "softmax", "concat_rows"]
+__all__ = ["Tensor", "matmul", "linear", "relu", "log_softmax", "softmax", "softmax_cross_entropy"]
 
 
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
-    Gradients accumulate with ``+=`` on backward; call :meth:`zero_grad`
-    between steps. Tensors created by operations carry closures back to
-    their parents, forming an implicit tape.
+    Gradients accumulate on backward: the first one is kept as given, later
+    ones are summed into a new array, so a gradient array shared between
+    nodes is never written through. Call :meth:`zero_grad` between steps.
+    Tensors created by operations carry closures back to their parents,
+    forming an implicit tape.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
@@ -52,11 +57,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+        if self.requires_grad:
+            self.grad = g if self.grad is None else self.grad + g
 
     # -- autodiff --------------------------------------------------------------
 
@@ -95,8 +97,13 @@ class Tensor:
         out_vals = self.values + other.values
 
         def backward(g):
-            self._accumulate(_unbroadcast(g, self.values.shape))
-            other._accumulate(_unbroadcast(g, other.values.shape))
+            g_self = _unbroadcast(g, self.values.shape)
+            g_other = _unbroadcast(g, other.values.shape)
+            self._accumulate(g_self)
+            # Each parent owns its gradient array, even when both are g itself.
+            if g_other is g_self and other.requires_grad:
+                g_other = g_other.copy()
+            other._accumulate(g_other)
 
         return Tensor._from_op(out_vals, (self, other), backward)
 
@@ -227,6 +234,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_vals, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """y = x @ w.T + b as one node; w has shape (out, in).
+
+    Same values and gradients as ``x @ w.T + b`` built from matmul, T and add.
+    """
+    out_vals = x.values @ w.values.T
+    if b is not None:
+        out_vals = out_vals + b.values
+
+    def backward(g):
+        if b is not None:
+            b._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(g @ w.values)
+        w._accumulate((x.values.T @ g).T)
+
+    return Tensor._from_op(out_vals, (x, w) if b is None else (x, w, b), backward)
+
+
 def relu(t: Tensor) -> Tensor:
     mask = t.values > 0.0
 
@@ -236,24 +262,29 @@ def relu(t: Tensor) -> Tensor:
     return Tensor._from_op(t.values * mask, (t,), backward)
 
 
+def _rows(t: Tensor) -> np.ndarray:
+    """Logits as a 2-D array of rows (a 1-D input is one row)."""
+    if t.values.size == 0:
+        raise ValueError("log_softmax on empty input")
+    return t.values if t.values.ndim == 2 else t.values.reshape(1, -1)
+
+
+def _log_softmax_rows(vals: np.ndarray) -> np.ndarray:
+    shifted = vals - vals.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def log_softmax(t: Tensor) -> Tensor:
     """Row-wise log-softmax with max-subtraction for stability.
 
     The subtracted row max is treated as a constant; softmax is invariant to
     per-row shifts, so gradients are unaffected.
     """
-    if t.values.size == 0:
-        raise ValueError("log_softmax on empty input")
-    vals = t.values if t.values.ndim == 2 else t.values.reshape(1, -1)
-    squeeze = t.values.ndim == 1
-    shifted = vals - vals.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_vals = shifted - lse
-    probs = np.exp(out_vals)
+    out_vals = _log_softmax_rows(_rows(t))
 
     def backward(g):
-        g2 = g.reshape(1, -1) if squeeze else g
-        gt = g2 - probs * g2.sum(axis=1, keepdims=True)
+        g2 = g.reshape(out_vals.shape)
+        gt = g2 - np.exp(out_vals) * g2.sum(axis=1, keepdims=True)
         t._accumulate(gt.reshape(t.values.shape))
 
     return Tensor._from_op(out_vals.reshape(t.values.shape), (t,), backward)
@@ -264,13 +295,23 @@ def softmax(t: Tensor) -> Tensor:
     return log_softmax(t).exp()
 
 
-def concat_rows(tensors: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors along axis 0 with gradient routing back to each part."""
-    parts = [t.values for t in tensors]
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+def softmax_cross_entropy(q: np.ndarray, t: Tensor) -> Tensor:
+    """Mean over rows of -sum_i q_i log softmax(t)_i as one node.
+
+    ``q`` is a constant (m, K) target matrix; ``t`` holds logits of the same
+    shape (or one 1-D row when m == 1). Same values and gradients as
+    ``-(Tensor(q) * log_softmax(t)).sum() * (1 / m)``.
+    """
+    vals = _rows(t)
+    if q.shape != vals.shape:
+        raise ValueError(f"targets of shape {q.shape} for logits of shape {t.shape}")
+    logp = _log_softmax_rows(vals)
+    scale = 1.0 / q.shape[0]
+    loss = -(q * logp).sum() * scale
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            t._accumulate(g[lo:hi])
+        gq = -(g * scale) * q
+        gt = gq - np.exp(logp) * gq.sum(axis=1, keepdims=True)
+        t._accumulate(gt.reshape(t.values.shape))
 
-    return Tensor._from_op(np.concatenate(parts, axis=0), tuple(tensors), backward)
+    return Tensor._from_op(loss, (t,), backward)

@@ -11,9 +11,13 @@ label-aware smoothing, plain CE, or per-class weighted CE.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +135,7 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
+        self._validate_types()
         if self.stage1_epochs < 1:
             raise ValueError("stage1_epochs: must be >= 1")
         if self.stage2_epochs < 0:
@@ -146,6 +151,27 @@ class TrainConfig:
             raise ValueError(f"stage2_loss: unknown loss {self.stage2_loss!r}")
         if self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha: must be positive")
+
+    def _validate_types(self):
+        """Numeric fields must hold numbers, so a bad value fails here and not mid-run."""
+        for name, (kind, optional) in _numeric_fields().items():
+            value = getattr(self, name)
+            if not (optional and value is None) and not _is_number(value, integer=kind is int):
+                what = "an integer" if kind is int else "a finite number"
+                raise ValueError(f"{name}: must be {what}, got {value!r}")
+        if not isinstance(self.hidden, (list, tuple)) or not all(
+            _is_number(w, integer=True) for w in self.hidden
+        ):
+            raise ValueError(f"hidden: must be a list of integers, got {self.hidden!r}")
+        for name in ("stage1_schedule", "stage2_schedule"):
+            sched = getattr(self, name)
+            if not isinstance(sched, dict):
+                raise ValueError(f"{name}: must be an object, got {sched!r}")
+            ms = sched.get("milestones", [])
+            if not isinstance(ms, list) or not all(_is_number(m, integer=True) for m in ms):
+                raise ValueError(f"{name}.milestones: must be a list of integers, got {ms!r}")
+            if not _is_number(sched.get("factor", 0.1), integer=False):
+                raise ValueError(f"{name}.factor: must be a finite number, got {sched['factor']!r}")
 
     def to_json(self, path: str | Path):
         with open(path, "w") as fh:
@@ -164,6 +190,26 @@ class TrainConfig:
     def from_json(cls, path: str | Path) -> "TrainConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+@functools.cache
+def _numeric_fields() -> dict[str, tuple[type, bool]]:
+    """TrainConfig's int and float fields: name -> (int or float, whether None is allowed)."""
+    out = {}
+    for name, hint in typing.get_type_hints(TrainConfig).items():
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        args = typing.get_args(hint) if union else (hint,)
+        kind = next((a for a in args if a in (int, float)), None)
+        if kind is not None:
+            out[name] = (kind, type(None) in args)
+    return out
+
+
+def _is_number(value, integer: bool) -> bool:
+    """True for a finite real (an integer when ``integer``); bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        return False
+    return integer or math.isfinite(value)
 
 
 class Model:
@@ -298,7 +344,7 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
                 x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, k,
                                    lam=cfg.mixup_force_lam)
             feats = model.backbone.forward(x, bn_mode)
-            logits = head(Tensor(feats.values))  # backbone frozen: cut the tape
+            logits = head(feats)  # frozen backbone: feats carry no tape
             if q is not None:
                 loss = soft_ce_loss(q, logits)
             elif cfg.stage2_loss == "las":

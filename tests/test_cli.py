@@ -99,6 +99,20 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch", [{"lr": "0.1"}, {"batch_size": "16"}, {"hidden": ["8"]},
+                                       {"stage1_schedule": {"kind": "multistep", "factor": "0.1"}}])
+    def test_non_numeric_value_exits_usage_before_training(self, workspace, tmp_path, capsys,
+                                                           patch):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **patch)))
+        code = main(["train", "--config", str(cfg_path),
+                     "--data", str(workspace / "blobs"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert next(iter(patch)) in err
+        assert not (tmp_path / "o").exists()
+
     def test_requires_config_or_preset(self, workspace, tmp_path):
         assert main(["train", "--data", str(workspace / "blobs"),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE

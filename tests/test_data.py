@@ -93,6 +93,28 @@ class TestSampler:
         x, y = Sampler("instance", ds, seed=0).next_batch(1)
         assert x.shape == (1, 2)
 
+    def test_class_draws_match_per_class_index_lists(self):
+        # labels in shuffled order: a class's instances are not contiguous
+        base = gen_gaussian_blobs([40, 17, 3], dim=2, spread=0.5, seed=4)
+        perm = np.random.default_rng(2).permutation(len(base.labels))
+        ds = LongTailedDataset(features=base.features[perm], labels=base.labels[perm],
+                               class_counts=base.class_counts, splits=base.splits)
+        sampler = Sampler("class", ds, seed=13)
+        rng = np.random.default_rng(13)
+        by_class = [np.flatnonzero(ds.labels == j) for j in range(3)]
+        for batch in (1, 7, 64):
+            classes = rng.integers(0, 3, size=batch)
+            picks = rng.random(batch)
+            expect = [by_class[c][int(p * len(by_class[c]))] for c, p in zip(classes, picks)]
+            assert np.array_equal(sampler.next_indices(batch), expect)
+
+    def test_class_sampler_rejects_an_empty_class(self):
+        ds = LongTailedDataset(features=np.zeros((3, 2)), labels=np.array([0, 0, 1]),
+                               class_counts=np.array([2, 1, 0]), splits=["few"] * 3)
+        with pytest.raises(ValueError):
+            Sampler("class", ds, seed=0)
+        Sampler("instance", ds, seed=0).next_batch(4)
+
     def test_unknown_kind(self):
         ds = gen_gaussian_blobs([5, 5], dim=2, spread=0.5, seed=4)
         with pytest.raises(ValueError):

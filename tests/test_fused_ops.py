@@ -1,0 +1,299 @@
+"""Fused tape nodes against the composite Tensor graphs they replace.
+
+Each fused node (linear, batch-norm train, softmax cross-entropy and the
+Stage-2 head) must give values, loss, gradients and BN running statistics
+that are byte-identical to the composite graph built from the elementwise
+Tensor ops. Also covered: gradient routing through shared and repeated
+inputs, and the tape-free eval/shift backbone forward.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from ltcalib import net
+from ltcalib.head import GeneralizedHead
+from ltcalib.losses import soft_ce_loss
+from ltcalib.net import Backbone, BackboneConfig, BatchNorm
+from ltcalib.tensor import Tensor, linear, log_softmax, relu
+
+from conftest import assert_grads_close, central_diff
+
+# (batch m, width M, classes K): the edges, then random draws.
+_EDGES = [(2, 1, 2), (2, 7, 100), (3, 5, 2), (64, 24, 100)]
+_draw = np.random.default_rng(20240)
+SHAPES = _EDGES + [(int(_draw.integers(2, 65)), int(_draw.integers(1, 41)),
+                    int(_draw.integers(2, 101))) for _ in range(16)]
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _leaf(values):
+    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+
+
+def _weighted_sum(out: Tensor, r: np.ndarray) -> Tensor:
+    """A scalar whose gradient w.r.t. ``out`` is ``r``: a non-trivial upstream gradient."""
+    return (out * Tensor(r)).sum()
+
+
+@pytest.mark.parametrize("m,d,k", SHAPES)
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_matches_composite(m, d, k, bias):
+    rng = np.random.default_rng(m * 1000 + d * 10 + k)
+    x0, w0, b0 = rng.standard_normal((m, d)), rng.standard_normal((k, d)), rng.standard_normal(k)
+    r = rng.standard_normal((m, k))
+    runs = []
+    for fused in (True, False):
+        x, w = _leaf(x0), _leaf(w0)
+        b = _leaf(b0) if bias else None
+        if fused:
+            out = linear(x, w, b)
+        else:
+            out = x @ w.T
+            out = out + b if bias else out
+        _weighted_sum(out, r).backward()
+        runs.append([out.values, x.grad, w.grad] + ([b.grad] if bias else []))
+    assert all(_same(a, b) for a, b in zip(*runs))
+
+
+def _bn_composite(bn: BatchNorm, h: Tensor) -> Tensor:
+    """The train-mode batch-norm graph built from elementwise Tensor ops."""
+    mu = h.mean(axis=0)
+    diff = h - mu
+    var = (diff * diff).mean(axis=0)
+    bn._update_running(mu.values, var.values)
+    x_hat = diff / (var + bn.eps).sqrt()
+    return bn.scale * x_hat + bn.shift
+
+
+@pytest.mark.parametrize("m,d,k", SHAPES)
+def test_batchnorm_train_matches_composite(m, d, k):
+    rng = np.random.default_rng(m * 7 + d)
+    h0 = rng.standard_normal((m, d)) * 3.0 + rng.standard_normal(d)
+    r = rng.standard_normal((m, d))
+    runs = []
+    for fused in (True, False):
+        bn = BatchNorm(d, momentum=0.3)
+        bn.scale.values = np.linspace(0.5, 2.0, d)
+        bn.shift.values = np.linspace(-1.0, 1.0, d)
+        bn.running_mean = np.full(d, 0.25)
+        bn.running_var = np.full(d, 1.5)
+        h = _leaf(h0)
+        out = bn(h) if fused else _bn_composite(bn, h)
+        _weighted_sum(out, r).backward()
+        runs.append([out.values, h.grad, bn.scale.grad, bn.shift.grad,
+                     bn.running_mean, bn.running_var])
+    assert all(_same(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("m,d,k", SHAPES)
+def test_softmax_cross_entropy_matches_composite(m, d, k):
+    rng = np.random.default_rng(m + 31 * k)
+    z0 = rng.standard_normal((m, k)) * 4.0
+    q = rng.dirichlet(np.ones(k), size=m) * rng.uniform(0.5, 2.0, (m, 1))
+    runs = []
+    for fused in (True, False):
+        z = _leaf(z0)
+        loss = (soft_ce_loss(q, z) if fused
+                else -(Tensor(q) * log_softmax(z)).sum() * (1.0 / m))
+        loss.backward()
+        runs.append([loss.values, z.grad])
+    assert all(_same(a, b) for a, b in zip(*runs))
+
+
+def test_softmax_cross_entropy_single_row_of_1d_logits():
+    z0 = np.array([0.3, -1.2, 2.0, 0.0])
+    q = np.array([[0.1, 0.2, 0.6, 0.1]])
+    runs = []
+    for fused in (True, False):
+        z = _leaf(z0)
+        loss = soft_ce_loss(q, z) if fused else -(Tensor(q) * log_softmax(z)).sum() * 1.0
+        loss.backward()
+        runs.append([loss.values, z.grad])
+    assert all(_same(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("k", [2, 5, 100])
+def test_soft_ce_1d_targets_match_composite(k):
+    rng = np.random.default_rng(k)
+    q, z0 = rng.dirichlet(np.ones(k)), rng.standard_normal(k)
+    runs = []
+    for fused in (True, False):
+        z = _leaf(z0)
+        loss = soft_ce_loss(q, z) if fused else -(Tensor(q) * log_softmax(z)).sum()
+        loss.backward()
+        runs.append([loss.values, z.grad])
+    for a, b in zip(*runs):
+        assert _same(a, b)
+
+
+def test_softmax_cross_entropy_rejects_mismatched_targets():
+    with pytest.raises(ValueError):
+        soft_ce_loss(np.full((3, 4), 0.25), Tensor(np.zeros((2, 4))))
+
+
+def _head_composite(head: GeneralizedHead, x: Tensor) -> Tensor:
+    eff = Tensor(head.r * head.w) + head.dw
+    return (x @ eff) * head.s
+
+
+@pytest.mark.parametrize("m,d,k", SHAPES)
+@pytest.mark.parametrize("mode", ["crt", "lws", "generalized"])
+def test_head_matches_composite(m, d, k, mode):
+    rng = np.random.default_rng(m * 13 + k)
+    w = rng.standard_normal((d, k))
+    dw0, s0 = 0.1 * rng.standard_normal((d, k)), rng.uniform(0.5, 1.5, k)
+    x0 = rng.standard_normal((m, d))
+    r = rng.standard_normal((m, k))
+    runs = []
+    for fused in (True, False):
+        head = GeneralizedHead(w, mode=mode)
+        head.dw.values, head.s.values = dw0.copy(), s0.copy()
+        x = _leaf(x0)
+        out = head(x) if fused else _head_composite(head, x)
+        _weighted_sum(out, r).backward()
+        runs.append([out.values, x.grad, head.dw.grad, head.s.grad])
+    for a, b in zip(*runs):
+        assert (a is None and b is None) or _same(a, b)
+
+
+# -- gradient routing ----------------------------------------------------------
+
+
+def test_head_routes_gradient_into_its_input():
+    rng = np.random.default_rng(5)
+    head = GeneralizedHead(rng.standard_normal((4, 3)), mode="generalized")
+    head.dw.values = 0.3 * rng.standard_normal((4, 3))
+    head.s.values = rng.uniform(0.5, 1.5, 3)
+    x = _leaf(rng.standard_normal((5, 4)))
+    q = rng.dirichlet(np.ones(3), size=5)
+    soft_ce_loss(q, head(x)).backward()
+    num = central_diff(lambda: soft_ce_loss(q, head(Tensor(x.values))).values.item(),
+                       [x.values])
+    assert_grads_close([x.grad], num)
+
+
+def test_backbone_and_head_route_gradient_into_the_input():
+    rng = np.random.default_rng(6)
+    bb = Backbone(BackboneConfig(in_dim=3, hidden=[5, 4], seed=2))
+    head = GeneralizedHead(rng.standard_normal((4, 3)), mode="generalized")
+    head.s.values = rng.uniform(0.5, 1.5, 3)
+    x = _leaf(rng.standard_normal((6, 3)))
+    q = rng.dirichlet(np.ones(3), size=6)
+    stats = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bb.norms]
+
+    def loss_of(inp):
+        for bn, (mean, var) in zip(bb.norms, stats):
+            bn.running_mean, bn.running_var = mean.copy(), var.copy()
+        return soft_ce_loss(q, head(bb.forward(inp, net.TRAIN)))
+
+    loss_of(x).backward()
+    num = central_diff(lambda: loss_of(Tensor(x.values)).values.item(), [x.values])
+    assert_grads_close([x.grad], num)
+
+
+def test_shared_and_repeated_inputs_get_every_contribution():
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((3, 4))
+    a = _leaf(rng.standard_normal((3, 4)))
+    b = _leaf(rng.standard_normal((3, 4)))
+    c = _leaf(rng.standard_normal((3, 4)))
+    d = _leaf(rng.standard_normal((3, 4)))
+    # One upstream gradient g feeds a + a, c * c and a + b (summed).
+    _weighted_sum((a + a) + (c * c) + (a + b), g).backward()
+    assert np.array_equal(a.grad, g + g + g)
+    assert np.array_equal(b.grad, g)
+    assert np.array_equal(c.grad, g * c.values + g * c.values)
+    # A sum node whose gradient is both an input's and another sum's.
+    _weighted_sum((d + b) + d, g).backward()
+    assert np.array_equal(d.grad, g + g)
+    assert np.array_equal(b.grad, g + g)
+
+
+def test_inplace_update_of_one_grad_leaves_the_others_alone():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((2, 3))
+    a = _leaf(rng.standard_normal((2, 3)))
+    b = _leaf(rng.standard_normal((2, 3)))
+    c = _leaf(rng.standard_normal((2, 3)))
+    _weighted_sum((a + b) + c, g).backward()
+    leaves = [a, b, c]
+    before = [p.grad.copy() for p in leaves]
+    for i, p in enumerate(leaves):
+        p.grad += 1.0
+        for j, other in enumerate(leaves):
+            expect = before[j] + (1.0 if j <= i else 0.0)
+            assert np.array_equal(other.grad, expect)
+
+
+# -- tape-free eval and shift forwards ----------------------------------------
+
+
+def _composite_forward(bb: Backbone, x: Tensor, mode: str) -> Tensor:
+    """Layer-by-layer forward with elementwise Tensor ops in eval mode, and
+    with plain batch statistics and running-stat updates in shift mode."""
+    h = x
+    for lin, bn in zip(bb.linears, bb.norms):
+        h = h @ lin.weight.T + lin.bias
+        if bn is not None:
+            if mode == net.EVAL:
+                denom = np.sqrt(bn.running_var + bn.eps)
+                x_hat = (h - Tensor(bn.running_mean)) / Tensor(denom)
+            else:
+                mu = h.values.mean(axis=0)
+                var = ((h.values - mu) ** 2).mean(axis=0)
+                bn._update_running(mu, var)
+                x_hat = Tensor((h.values - mu) / np.sqrt(var + bn.eps))
+            h = bn.scale * x_hat + bn.shift
+        h = relu(h)
+    return h
+
+
+@pytest.mark.parametrize("mode", [net.EVAL, net.SHIFT])
+@pytest.mark.parametrize("batchnorm", [True, False])
+def test_eval_and_shift_forwards_record_no_tape(mode, batchnorm):
+    rng = np.random.default_rng(10)
+    bb = Backbone(BackboneConfig(in_dim=4, hidden=[6, 5], batchnorm=batchnorm, seed=3))
+    for _ in range(3):  # move the running statistics off their initial values
+        bb.forward(rng.standard_normal((8, 4)) + 1.0, net.TRAIN)
+    ref = copy.deepcopy(bb)
+    for _ in range(3):
+        x0 = rng.standard_normal((7, 4))
+        out = bb.forward(Tensor(x0), mode)
+        expect = _composite_forward(ref, Tensor(x0), mode)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        assert _same(out.values, expect.values)
+        for bn, bn_ref in zip(bb.norms, ref.norms):
+            if bn is not None:
+                assert _same(bn.running_mean, bn_ref.running_mean)
+                assert _same(bn.running_var, bn_ref.running_var)
+
+
+@pytest.mark.parametrize("mode", [net.EVAL, net.SHIFT])
+def test_eval_and_shift_reject_an_input_that_wants_gradients(mode):
+    bb = Backbone(BackboneConfig(in_dim=3, hidden=[4], seed=1))
+    x = _leaf(np.random.default_rng(0).standard_normal((5, 3)))
+    with pytest.raises(ValueError, match="requires_grad"):
+        bb.forward(x, mode)
+    bn = BatchNorm(3)
+    bn.mode = mode
+    with pytest.raises(ValueError, match="requires_grad"):
+        bn(x)
+
+
+def test_unknown_mode_is_rejected():
+    x = np.zeros((4, 3))
+    for batchnorm in (True, False):
+        bb = Backbone(BackboneConfig(in_dim=3, hidden=[4], batchnorm=batchnorm, seed=1))
+        with pytest.raises(ValueError, match="mode"):
+            bb.forward(x, "test")
+    bn = BatchNorm(3)
+    bn.mode = "test"
+    with pytest.raises(ValueError, match="mode"):
+        bn(Tensor(x))

@@ -89,6 +89,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(**patch)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"lr": "0.1"},
+            {"lr": float("nan")},
+            {"batch_size": 16.0},
+            {"seed": True},
+            {"mixup_force_lam": "1.0"},
+            {"batches_per_epoch": "3"},
+        ],
+    )
+    def test_non_numeric_values_rejected(self, patch):
+        with pytest.raises(ValueError, match=next(iter(patch))):
+            TrainConfig(**patch)
+
+    def test_optional_numeric_fields_accept_none_and_numbers(self):
+        TrainConfig(mixup_force_lam=None, batches_per_epoch=None)
+        TrainConfig(mixup_force_lam=1, batches_per_epoch=3)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig.from_dict({"learning_rate": 0.1})
