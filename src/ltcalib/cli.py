@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, ablate, reliability, weight-norms,
 distributions. Exit codes: 0 success, 1 usage/config error, 2 I/O error,
-3 training divergence, 4 checkpoint/data shape mismatch.
+3 training divergence, 4 checkpoint/data shape mismatch. A malformed dataset
+file is an I/O error.
 """
 
 from __future__ import annotations
@@ -267,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except data_mod.DatasetFormatError as exc:  # a ValueError, but about a file
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

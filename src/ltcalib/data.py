@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import json
+import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,7 @@ __all__ = [
     "mixup_batch",
     "save_dataset",
     "load_dataset",
+    "DatasetFormatError",
 ]
 
 MANY_THRESHOLD = 100  # count > 100  -> "many"
@@ -218,20 +220,49 @@ def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: i
 
 # -- CSV export / import -------------------------------------------------------
 
+# Rows formatted per write: few enough that a chunk's text stays near 100 kB,
+# so peak memory does not grow with the dataset, and enough to amortize the
+# per-chunk calls.
+_CHUNK_ROWS = 256
 
-def _write_feature_csv(path: Path, features: np.ndarray, labels: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feat_{i}" for i in range(features.shape[1])] + ["label"])
-        for row, lab in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+
+class DatasetFormatError(ValueError):
+    """A dataset file that was read but does not hold a well-formed dataset."""
+
+
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
+    over ``path``, so a failed write never leaves a partial file there."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_feature_csv(fh, features: np.ndarray, labels: np.ndarray):
+    """Header plus one ``repr(float)`` field per feature and the integer label,
+    CRLF-terminated: the bytes ``csv.writer`` writes for those fields."""
+    fh.write(",".join([f"feat_{i}" for i in range(features.shape[1])] + ["label"]) + "\r\n")
+    labels = np.asarray(labels, dtype=np.int64)
+    for i in range(0, len(features), _CHUNK_ROWS):
+        rows = features[i : i + _CHUNK_ROWS].tolist()
+        for row, lab in zip(rows, labels[i : i + _CHUNK_ROWS].tolist()):
+            row.append(lab)
+        # repr of a list of lists: "[[a, b, 0], [c, d, 1]]", with float repr per field.
+        fh.write(repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
 
 
 def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
-    """Write <prefix>.csv (+ .test.csv when present) and a JSON sidecar."""
+    """Write <prefix>.csv (+ .test.csv when present) and a JSON sidecar, each
+    atomically; the sidecar is written last."""
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_feature_csv(prefix.with_suffix(".csv"), ds.features, ds.labels)
+    _write_atomic(prefix.with_suffix(".csv"),
+                  lambda fh: _write_feature_csv(fh, ds.features, ds.labels))
     sidecar = {
         "class_counts": [int(c) for c in ds.class_counts],
         "splits": ds.splits,
@@ -242,40 +273,99 @@ def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
     }
     if ds.test_features is not None:
         test_path = prefix.parent / (prefix.name + ".test.csv")
-        _write_feature_csv(test_path, ds.test_features, ds.test_labels)
+        _write_atomic(test_path, lambda fh: _write_feature_csv(fh, ds.test_features, ds.test_labels))
         sidecar["test_csv"] = test_path.name
-    with open(prefix.with_suffix(".json"), "w") as fh:
+
+    def write_sidecar(fh):
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    _write_atomic(prefix.with_suffix(".json"), write_sidecar)
+
 
 def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or not header[0].startswith("feat_"):
-            raise ValueError(f"{path}: not a dataset CSV (header {header[:2]}...)")
-        feats, labels = [], []
-        for row in reader:
-            feats.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
-    return np.array(feats), np.array(labels, dtype=np.int64)
+    """Features (C-contiguous float64) and int64 labels of a dataset CSV.
+
+    The body is parsed in one pass; numpy's parser is correctly rounded, so
+    every ``repr(float)`` field reads back to the same float64. Blank lines
+    are skipped. Raises :class:`DatasetFormatError` for anything else that is
+    not a header plus at least one row of finite features and an integer label.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline().decode().rstrip("\r\n").split(",")
+            if header[-1] != "label" or not header[0].startswith("feat_"):
+                raise DatasetFormatError(f"not a dataset CSV (header {header[:2]}...)")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    if body.size == 0:
+        raise DatasetFormatError(f"{path}: no data rows")
+    if body.shape[1] != len(header):
+        raise DatasetFormatError(f"{path}: {body.shape[1]} columns, header has {len(header)}")
+    features, labels = body[:, :-1], body[:, -1]
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: non-finite feature in data row {bad[0] + 1}")
+    # Integers beyond 2**53 are not exact in float64, so they cannot be labels.
+    bad = np.flatnonzero((labels != np.trunc(labels)) | (np.abs(labels) > 2.0**53))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: label {float(labels[bad[0]])!r} in data row {bad[0] + 1} "
+                                 "is not an integer")
+    return np.ascontiguousarray(features), labels.astype(np.int64)
+
+
+def _read_sidecar(path: Path) -> dict:
+    try:
+        with open(path) as fh:
+            sidecar = json.load(fh)
+        sidecar["class_counts"] = np.array(sidecar["class_counts"], dtype=np.int64)
+        sidecar["splits"] = list(sidecar["splits"])
+        sidecar["dim"] = int(sidecar["dim"])
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    if sidecar["class_counts"].ndim != 1 or len(sidecar["splits"]) != len(sidecar["class_counts"]):
+        raise DatasetFormatError(f"{path}: class_counts and splits must be lists of equal length")
+    return sidecar
+
+
+def _read_checked_csv(path: Path, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset CSV whose width matches the sidecar's ``dim`` and whose labels lie in [0, k)."""
+    features, labels = _read_feature_csv(path)
+    if features.shape[1] != dim:
+        raise DatasetFormatError(f"{path}: {features.shape[1]} feature columns, sidecar dim is {dim}")
+    bad = np.flatnonzero((labels < 0) | (labels >= k))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: label {labels[bad[0]]} in data row {bad[0] + 1} "
+                                 f"outside [0, {k})")
+    return features, labels
 
 
 def load_dataset(prefix: str | Path) -> LongTailedDataset:
+    """Read a dataset written by :func:`save_dataset`; a malformed file raises
+    :class:`DatasetFormatError` naming it."""
     prefix = Path(prefix)
-    with open(prefix.with_suffix(".json")) as fh:
-        sidecar = json.load(fh)
-    features, labels = _read_feature_csv(prefix.with_suffix(".csv"))
+    sidecar_path = prefix.with_suffix(".json")
+    sidecar = _read_sidecar(sidecar_path)
+    dim, counts = sidecar["dim"], sidecar["class_counts"]
+    features, labels = _read_checked_csv(prefix.with_suffix(".csv"), dim, len(counts))
     test_features = test_labels = None
     if sidecar.get("test_csv"):
-        test_features, test_labels = _read_feature_csv(prefix.parent / sidecar["test_csv"])
-    return LongTailedDataset(
-        features=features,
-        labels=labels,
-        class_counts=np.array(sidecar["class_counts"], dtype=np.int64),
-        splits=list(sidecar["splits"]),
-        seed=sidecar.get("seed"),
-        test_features=test_features,
-        test_labels=test_labels,
-    )
+        test_features, test_labels = _read_checked_csv(prefix.parent / sidecar["test_csv"],
+                                                       dim, len(counts))
+    try:
+        return LongTailedDataset(
+            features=features,
+            labels=labels,
+            class_counts=counts,
+            splits=sidecar["splits"],
+            seed=sidecar.get("seed"),
+            test_features=test_features,
+            test_labels=test_labels,
+        )
+    except ValueError as exc:
+        raise DatasetFormatError(f"{sidecar_path}: {exc}") from None

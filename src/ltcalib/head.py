@@ -44,15 +44,24 @@ class GeneralizedHead:
     def num_classes(self) -> int:
         return self.w.shape[1]
 
+    def _unscaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The effective weight ``r * W + dW`` and ``x`` times it, before scaling by ``s``."""
+        if x.shape[1] != self.w.shape[0]:
+            raise ValueError(f"feature width {x.shape[1]} != {self.w.shape[0]}")
+        eff = self.r * self.w + self.dw.values
+        return eff, x @ eff
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Logits of feature rows as a plain array, recording no tape; the same
+        values as :meth:`forward`."""
+        return self._unscaled(x)[1] * self.s.values
+
     def forward(self, x) -> Tensor:
         """Logits as one tape node; same values and gradients as the composite
         ``(x @ (Tensor(r * W) + dW)) * s``."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.values.shape[1] != self.w.shape[0]:
-            raise ValueError(f"feature width {x.values.shape[1]} != {self.w.shape[0]}")
         dw, s = self.dw, self.s
-        eff = self.r * self.w + dw.values
-        z = x.values @ eff
+        eff, z = self._unscaled(x.values)
 
         def backward(g):
             g_z = g * s.values

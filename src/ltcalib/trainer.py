@@ -34,7 +34,7 @@ from .losses import (
     soft_ce_loss,
     weighted_ce_loss,
 )
-from .tensor import Tensor, softmax
+from .tensor import Tensor, _log_softmax_rows
 
 __all__ = [
     "TrainConfig",
@@ -228,7 +228,11 @@ class Model:
         return feats @ self.w
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(x, net.EVAL)).values
+        """Eval-mode class probabilities on plain arrays, recording no tape;
+        the same values as ``softmax(self.logits(x, net.EVAL)).values``."""
+        feats = self.backbone.forward(x, net.EVAL).values
+        z = self.head.logits(feats) if self.head is not None else feats @ self.w.values
+        return np.exp(_log_softmax_rows(z))
 
 
 def _batches_per_epoch(cfg: TrainConfig, ds: LongTailedDataset) -> int:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -196,3 +197,89 @@ class TestFailureModes:
         code = main(["eval", "--checkpoint", str(tmp_path / "ghost"),
                      "--data", str(workspace / "blobs")])
         assert code == EXIT_IO
+
+
+def _copy_dataset(workspace, dest):
+    for suffix in (".csv", ".test.csv", ".json"):
+        shutil.copy(workspace / ("blobs" + suffix), dest / ("bad" + suffix))
+    _edit_sidecar(dest / "bad.json", test_csv="bad.test.csv")
+    return dest / "bad"
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    path.write_text("\r\n".join(edit(lines)) + "\r\n")
+
+
+def _set_field(row, col, value):
+    fields = row.split(",")
+    fields[col] = value
+    return ",".join(fields)
+
+
+def _edit_sidecar(path, **changes):
+    sidecar = json.loads(path.read_text())
+    sidecar.update(changes)
+    path.write_text(json.dumps(sidecar))
+
+
+# name -> (file to edit, edit); the workspace dataset has dim 3 and 3 classes.
+MALFORMED = {
+    "header_only_test_csv": (".test.csv", lambda lines: lines[:1]),
+    "nan_feature": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], 1, "nan"), *lines[2:]]),
+    "inf_feature_in_train_csv": (".csv", lambda lines: [lines[0], _set_field(lines[1], 0, "inf"), *lines[2:]]),
+    "ragged_row": (".test.csv", lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]]),
+    "non_numeric_field": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], 0, "abc"), *lines[2:]]),
+    "fractional_label": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "1.5"), *lines[2:]]),
+    "label_out_of_range": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "3"), *lines[2:]]),
+    "negative_label": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "-1"), *lines[2:]]),
+    "test_width_differs_from_train": (
+        ".test.csv", lambda lines: ["feat_0,feat_1,feat_2,feat_3,label"]
+        + [row.replace(",", ",0.5,", 1) for row in lines[1:]]),
+    "not_a_dataset_csv": (".csv", lambda lines: ["a,b", "1,2"]),
+}
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_csv_exits_io_with_one_line(self, workspace, tmp_path, capsys, case):
+        prefix = _copy_dataset(workspace, tmp_path)
+        suffix, edit = MALFORMED[case]
+        _edit_lines(Path(str(prefix) + suffix), edit)
+        code = main(["eval", "--checkpoint", str(workspace / "run" / "model"),
+                     "--data", str(prefix)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"i/o error: {prefix}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("changes", [{"dim": 4}, {"class_counts": [60, 6]}, None],
+                             ids=["dim_differs_from_csvs", "fewer_counts_than_splits", "not_json"])
+    def test_malformed_sidecar_exits_io(self, workspace, tmp_path, capsys, changes):
+        prefix = _copy_dataset(workspace, tmp_path)
+        if changes is None:
+            prefix.with_suffix(".json").write_text("{not json")
+        else:
+            _edit_sidecar(prefix.with_suffix(".json"), **changes)
+        code = main(["eval", "--checkpoint", str(workspace / "run" / "model"),
+                     "--data", str(prefix)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"i/o error: {prefix}.") and err.count("\n") == 1, err
+
+    def test_malformed_train_csv_fails_before_training(self, workspace, tmp_path, capsys):
+        prefix = _copy_dataset(workspace, tmp_path)
+        _edit_lines(prefix.with_suffix(".csv"), lambda lines: [*lines[:2], "1,2", *lines[2:]])
+        code = main(["train", "--config", str(workspace / "config.json"),
+                     "--data", str(prefix), "--out", str(tmp_path / "run")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"i/o error: {prefix}.csv")
+        assert not (tmp_path / "run").exists()
+
+    def test_trailing_blank_lines_are_skipped(self, workspace, tmp_path, capsys):
+        args = ["eval", "--checkpoint", str(workspace / "run" / "model")]
+        assert main([*args, "--data", str(workspace / "blobs")]) == EXIT_OK
+        expected = capsys.readouterr().out
+        prefix = _copy_dataset(workspace, tmp_path)
+        _edit_lines(prefix.with_suffix(".test.csv"), lambda lines: [*lines, "", ""])
+        assert main([*args, "--data", str(prefix)]) == EXIT_OK
+        assert capsys.readouterr().out == expected

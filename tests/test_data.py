@@ -1,7 +1,14 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ltcalib import data
 from ltcalib.data import (
     LongTailedDataset,
     MixupConfig,
@@ -172,6 +179,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             _read_feature_csv(path)
 
+    def test_empty_file_raises_format_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(data.DatasetFormatError):
+            data._read_feature_csv(path)
+
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
             LongTailedDataset(
@@ -180,3 +193,86 @@ class TestCsvRoundTrip:
                 class_counts=np.array([1, 2]),  # not non-increasing
                 splits=["few", "few"],
             )
+
+
+def _reference_csv(features, labels) -> str:
+    """The csv-module writer that the one-pass writer must match byte for byte."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"feat_{i}" for i in range(features.shape[1])] + ["label"])
+    for row, lab in zip(features, labels):
+        writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+                  np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 1 / 3]
+finite_f64 = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(SPECIAL_FLOATS))
+
+
+class TestCsvByteIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 2 * data._CHUNK_ROWS + 3),
+                                            st.integers(1, 4)), elements=finite_f64))
+    @example(np.array([SPECIAL_FLOATS] * (data._CHUNK_ROWS + 1)))
+    def test_writer_matches_csv_module_and_round_trips(self, features):
+        n = len(features)
+        counts = np.array([n - n // 2, n // 2])
+        labels = np.repeat([0, 1], counts)
+        buf = io.StringIO(newline="")
+        data._write_feature_csv(buf, features, labels)
+        assert buf.getvalue() == _reference_csv(features, labels)
+
+        ds = LongTailedDataset(features=features, labels=labels, class_counts=counts,
+                               splits=["few", "few"], test_features=features[: n // 3 + 1],
+                               test_labels=labels[: n // 3 + 1])
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, Path(tmp) / "d")
+            assert (Path(tmp) / "d.csv").read_bytes() == buf.getvalue().encode()
+            back = load_dataset(Path(tmp) / "d")
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.test_features.tobytes() == ds.test_features.tobytes()
+        assert back.features.flags["C_CONTIGUOUS"]
+        assert back.labels.dtype == back.test_labels.dtype == np.int64
+        assert np.array_equal(back.labels, labels)
+        assert np.array_equal(back.test_labels, ds.test_labels)
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("fail_on_call, left", [(1, []), (2, ["blob.csv"])])
+    def test_failed_write_leaves_no_partial_or_temporary_file(self, tmp_path, monkeypatch,
+                                                              fail_on_call, left):
+        ds = gen_gaussian_blobs(make_longtail_profile(120, 4, 5), dim=3, spread=0.4, seed=7)
+        write = data._write_feature_csv
+        calls = []
+
+        def failing_write(fh, features, labels):
+            calls.append(None)
+            if len(calls) == fail_on_call:
+                fh.write("feat_0,feat_1,feat_2,label\r\n0.5,")
+                raise OSError("disk full")
+            write(fh, features, labels)
+
+        monkeypatch.setattr(data, "_write_feature_csv", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(ds, tmp_path / "blob")
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+        if left:
+            buf = io.StringIO(newline="")
+            write(buf, ds.features, ds.labels)
+            assert (tmp_path / "blob.csv").read_bytes() == buf.getvalue().encode()
+
+    def test_failed_rewrite_keeps_previous_dataset(self, tmp_path, monkeypatch):
+        ds = gen_gaussian_blobs(make_longtail_profile(120, 4, 5), dim=3, spread=0.4, seed=7)
+        save_dataset(ds, tmp_path / "blob")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_write(fh, features, labels):
+            fh.write("feat_0,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data, "_write_feature_csv", failing_write)
+        with pytest.raises(OSError):
+            save_dataset(ds, tmp_path / "blob")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

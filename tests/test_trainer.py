@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ltcalib import net
+from ltcalib.tensor import Tensor, softmax
 from ltcalib.data import gen_gaussian_blobs
 from ltcalib.trainer import (
     ABLATION_CELLS,
@@ -237,3 +238,21 @@ class TestArtifacts:
         b = back.predict_probs(ds.test_features)
         assert a.tobytes() == b.tobytes()
         assert evaluate(back, ds) == res["final"]
+
+
+class TestPredictProbs:
+    @pytest.mark.parametrize("head_mode", [None, "crt", "lws", "generalized"])
+    def test_records_no_tape_and_matches_taped_softmax(self, ds, head_mode, monkeypatch):
+        cfg = tiny_cfg(head_mode=head_mode or "generalized")
+        model = train_stage1(cfg, ds)
+        if head_mode is not None:
+            model = train_stage2(cfg, model, ds)
+        expected = softmax(model.logits(ds.test_features, net.EVAL)).values
+
+        ops = []
+        from_op = Tensor._from_op
+        monkeypatch.setattr(Tensor, "_from_op",
+                            staticmethod(lambda *args: ops.append(args) or from_op(*args)))
+        probs = model.predict_probs(ds.test_features)
+        assert len(ops) == 0
+        assert probs.tobytes() == expected.tobytes()
