@@ -8,6 +8,7 @@ Submodules:
   head    - generalized Stage-2 classifier head (cRT / LWS / generalized)
   calib   - ECE, reliability bins, split accuracy, probability distributions
   trainer - the two-stage pipeline and ablation grid
+  artifacts - atomic file writes in one JSON and one CSV format
   cli     - command-line interface
 """
 

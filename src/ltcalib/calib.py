@@ -8,12 +8,12 @@ but accepted) lands in bin 1 and a confidence of 1.0 lands in bin B.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .artifacts import write_csv
 
 __all__ = [
     "PredictionLog",
@@ -61,19 +61,6 @@ class CalibrationReport:
     bin_confidence: np.ndarray
     ece_percent: float
     direction: str  # over-confident | under-confident | mixed
-
-    def to_json(self, path: str | Path):
-        payload = {
-            "bins": self.bins,
-            "ece_percent": self.ece_percent,
-            "direction": self.direction,
-            "bin_counts": [int(c) for c in self.bin_counts],
-            "bin_accuracy": [float(a) for a in self.bin_accuracy],
-            "bin_confidence": [float(c) for c in self.bin_confidence],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def bin_index(confidence: np.ndarray, b: int) -> np.ndarray:
@@ -146,13 +133,9 @@ def reliability_bins(log: PredictionLog, b: int = 15) -> list[dict]:
 
 
 def export_reliability_csv(rows: list[dict], path: str | Path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "accuracy", "confidence"])
-        for r in rows:
-            writer.writerow(
-                [repr(r["bin_lo"]), repr(r["bin_hi"]), r["count"], repr(r["accuracy"]), repr(r["confidence"])]
-            )
+    write_csv(path, ["bin_lo", "bin_hi", "count", "accuracy", "confidence"],
+              ([repr(r["bin_lo"]), repr(r["bin_hi"]), r["count"], repr(r["accuracy"]), repr(r["confidence"])]
+               for r in rows))
 
 
 def split_accuracy(log: PredictionLog, splits: list[str]) -> dict[str, float | None]:
@@ -188,9 +171,5 @@ def probability_distribution(log: PredictionLog, splits: list[str]) -> dict[str,
 
 
 def export_distribution_csv(dist: dict[str, dict], path: str | Path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "p_true"])
-        for name in ("many", "medium", "few"):
-            for v in dist[name]["samples"]:
-                writer.writerow([name, repr(float(v))])
+    write_csv(path, ["split", "p_true"],
+              ([name, repr(float(v))] for name in ("many", "medium", "few") for v in dist[name]["samples"]))

@@ -3,13 +3,12 @@
 Subcommands: gen-data, train, eval, ablate, reliability, weight-norms,
 distributions. Exit codes: 0 success, 1 usage/config error, 2 I/O error,
 3 training divergence, 4 checkpoint/data shape mismatch. A malformed dataset
-file is an I/O error.
+or checkpoint file is an I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import trainer as trainer_mod
+from .artifacts import FormatError, write_json
 from .calib import (
     PredictionLog,
     ece,
@@ -143,6 +143,13 @@ class ShapeMismatch(Exception):
     pass
 
 
+def _scored(args) -> tuple[data_mod.LongTailedDataset, PredictionLog]:
+    """The dataset and the checkpoint's prediction log on its test split."""
+    ds = data_mod.load_dataset(args.data)
+    model = _load_model_for(ds, args.checkpoint)
+    return ds, PredictionLog.from_probs(model.predict_probs(ds.test_features), ds.test_labels)
+
+
 def cmd_gen_data(args) -> int:
     counts = data_mod.make_longtail_profile(args.nmax, args.nmin, args.classes)
     ds = data_mod.gen_gaussian_blobs(counts, args.dim, args.spread, seed=args.seed,
@@ -170,9 +177,7 @@ def cmd_train(args) -> int:
         "final": result["final"],
         "artifacts": {"checkpoint": "model", "metrics": "metrics.csv"},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     f = result["final"]
     print(f"accuracy {f['accuracy']:.2f}%  ece {f['ece']:.2f}%")
     return EXIT_OK
@@ -183,9 +188,7 @@ def cmd_ablate(args) -> int:
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     results = trainer_mod.run_ablation_grid(cfg, ds)
-    with open(out / "ablation.json", "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "ablation.json", results)
     print(f"{'MU':>5} {'SL':>5} {'LAS':>5} {'acc%':>8} {'ece%':>8}")
     for cell in results:
         if "error" in cell:
@@ -197,10 +200,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = data_mod.load_dataset(args.data)
-    model = _load_model_for(ds, args.checkpoint)
-    probs = model.predict_probs(ds.test_features)
-    log = PredictionLog.from_probs(probs, ds.test_labels)
+    ds, log = _scored(args)
     report = ece(log, args.bins)
     accs = split_accuracy(log, ds.splits)
     fmt = lambda v: f"{v:.2f}" if v is not None else "n/a"
@@ -212,10 +212,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    ds = data_mod.load_dataset(args.data)
-    model = _load_model_for(ds, args.checkpoint)
-    probs = model.predict_probs(ds.test_features)
-    log = PredictionLog.from_probs(probs, ds.test_labels)
+    _, log = _scored(args)
     rows = reliability_bins(log, args.bins)
     out = Path(args.out or (Path(_default_out()) / "reliability.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -237,10 +234,7 @@ def cmd_weight_norms(args) -> int:
 
 
 def cmd_distributions(args) -> int:
-    ds = data_mod.load_dataset(args.data)
-    model = _load_model_for(ds, args.checkpoint)
-    probs = model.predict_probs(ds.test_features)
-    log = PredictionLog.from_probs(probs, ds.test_labels)
+    ds, log = _scored(args)
     dist = probability_distribution(log, ds.splits)
     out = Path(args.out or (Path(_default_out()) / "distributions.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -268,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except data_mod.DatasetFormatError as exc:  # a ValueError, but about a file
+    except FormatError as exc:  # a ValueError, but about a file
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

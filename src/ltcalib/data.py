@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .artifacts import FormatError, write_atomic, write_json
 
 __all__ = [
     "LongTailedDataset",
@@ -111,6 +112,8 @@ def gen_gaussian_blobs(
         raise ValueError("dim must be >= 2")
     if spread <= 0:
         raise ValueError("spread must be positive")
+    if test_per_class < 1:
+        raise ValueError("test_per_class must be >= 1")
     k = len(counts)
     centers = _class_centers(k, dim, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD4]))
@@ -226,21 +229,8 @@ def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: i
 _CHUNK_ROWS = 256
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(FormatError):
     """A dataset file that was read but does not hold a well-formed dataset."""
-
-
-def _write_atomic(path: Path, write) -> None:
-    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
-    over ``path``, so a failed write never leaves a partial file there."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _write_feature_csv(fh, features: np.ndarray, labels: np.ndarray):
@@ -258,11 +248,14 @@ def _write_feature_csv(fh, features: np.ndarray, labels: np.ndarray):
 
 def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
     """Write <prefix>.csv (+ .test.csv when present) and a JSON sidecar, each
-    atomically; the sidecar is written last."""
+    atomically; the sidecar is written last. A dataset with an empty class
+    has no imbalance factor, so it is rejected before any file is written."""
+    if np.any(np.asarray(ds.class_counts) == 0):
+        raise ValueError("cannot save a dataset with an empty class: its imbalance factor is undefined")
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(prefix.with_suffix(".csv"),
-                  lambda fh: _write_feature_csv(fh, ds.features, ds.labels))
+    write_atomic(prefix.with_suffix(".csv"),
+                 lambda fh: _write_feature_csv(fh, ds.features, ds.labels))
     sidecar = {
         "class_counts": [int(c) for c in ds.class_counts],
         "splits": ds.splits,
@@ -273,14 +266,9 @@ def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
     }
     if ds.test_features is not None:
         test_path = prefix.parent / (prefix.name + ".test.csv")
-        _write_atomic(test_path, lambda fh: _write_feature_csv(fh, ds.test_features, ds.test_labels))
+        write_atomic(test_path, lambda fh: _write_feature_csv(fh, ds.test_features, ds.test_labels))
         sidecar["test_csv"] = test_path.name
-
-    def write_sidecar(fh):
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_atomic(prefix.with_suffix(".json"), write_sidecar)
+    write_json(prefix.with_suffix(".json"), sidecar)
 
 
 def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,11 @@ both s and dW, with a separate learning-rate multiplier for dW.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
 from .tensor import Tensor
 
 __all__ = ["GeneralizedHead"]
@@ -39,10 +39,6 @@ class GeneralizedHead:
         m, k = self.w.shape
         self.dw = Tensor(np.zeros((m, k)), requires_grad=(mode != "lws"))
         self.s = Tensor(np.ones(k), requires_grad=(mode != "crt"))
-
-    @property
-    def num_classes(self) -> int:
-        return self.w.shape[1]
 
     def _unscaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The effective weight ``r * W + dW`` and ``x`` times it, before scaling by ``s``."""
@@ -85,9 +81,6 @@ class GeneralizedHead:
             groups.append({"params": [self.dw], "lr_mult": self.lr_ratio_dw})
         return groups
 
-    def parameters(self) -> list[Tensor]:
-        return [p for g in self.param_groups() for p in g["params"]]
-
     def effective_weight(self) -> np.ndarray:
         return (self.r * self.w + self.dw.values) * self.s.values
 
@@ -99,11 +92,9 @@ class GeneralizedHead:
 
     def export_weight_norms(self, path: str | Path, class_counts):
         eff, raw = self.weight_norms()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "count", "norm_effective", "norm_w"])
-            for j, (c, e, r) in enumerate(zip(class_counts, eff, raw)):
-                writer.writerow([j, int(c), repr(float(e)), repr(float(r))])
+        write_csv(path, ["class", "count", "norm_effective", "norm_w"],
+                  ([j, int(c), repr(float(e)), repr(float(r))]
+                   for j, (c, e, r) in enumerate(zip(class_counts, eff, raw))))
 
     def state_arrays(self, prefix: str = "head.") -> dict[str, np.ndarray]:
         return {

@@ -8,13 +8,13 @@ head classes are smoothed harder than tail classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .data import one_hot
 from .tensor import Tensor, softmax_cross_entropy
 
@@ -97,9 +97,7 @@ class SmoothingSchedule:
             "p": self.p,
             "eps": [float(e) for e in self.eps],
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def las_targets(eps_y: float, y: int, k: int) -> np.ndarray:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import FormatError, write_atomic, write_json
 from .tensor import Tensor, linear, relu
 
 __all__ = ["Linear", "BatchNorm", "BackboneConfig", "Backbone", "save_checkpoint", "load_checkpoint"]
@@ -225,9 +227,6 @@ class Backbone:
 
 def bn_shift_stats(backbone: Backbone, sampler, steps: int, batch: int) -> None:
     """Refresh BN running statistics under a sampler with everything else frozen."""
-    if steps == 0:
-        return
-    backbone.set_mode(SHIFT)
     for _ in range(steps):
         x, _ = sampler.next_batch(batch)
         backbone.forward(x, SHIFT)
@@ -237,32 +236,54 @@ def bn_shift_stats(backbone: Backbone, sampler, steps: int, batch: int) -> None:
 
 
 def save_checkpoint(path_prefix: str | Path, arrays: dict[str, np.ndarray], meta: dict):
-    """Write <prefix>.json (manifest) and <prefix>.bin (f64 LE blob); bit-exact round trip."""
+    """Write <prefix>.bin (f64 LE blob), then <prefix>.json (manifest), each
+    atomically; bit-exact round trip."""
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    with open(prefix.with_suffix(".bin"), "wb") as fh:
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-            fh.write(arr.tobytes())
-            entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            offset += arr.size
-    manifest = {"meta": meta, "entries": entries, "total": offset}
-    with open(prefix.with_suffix(".json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    blobs = {name: np.ascontiguousarray(arrays[name], dtype="<f8") for name in sorted(arrays)}
+    entries, offset = [], 0
+    for name, arr in blobs.items():
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size
+    write_atomic(prefix.with_suffix(".bin"),
+                 lambda fh: fh.write(b"".join(arr.tobytes() for arr in blobs.values())), binary=True)
+    write_json(prefix.with_suffix(".json"), {"meta": meta, "entries": entries, "total": offset})
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and meta of a checkpoint; a manifest or blob that does not hold
+    one raises :class:`FormatError` naming the file."""
     prefix = Path(path_prefix)
-    with open(prefix.with_suffix(".json")) as fh:
-        manifest = json.load(fh)
-    blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+    path = prefix.with_suffix(".json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise FormatError(f"{path}: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("meta"), dict)
+            and isinstance(manifest.get("entries"), list) and _is_count(manifest.get("total"))):
+        raise FormatError(f"{path}: not a checkpoint manifest (an object with a meta object, "
+                          "an entries list and an integer total)")
+    total, bin_path = manifest["total"], prefix.with_suffix(".bin")
+    raw = bin_path.read_bytes()
+    if len(raw) != 8 * total:
+        raise FormatError(f"{bin_path}: {len(raw)} bytes, manifest total is {total} float64 values")
+    blob = np.frombuffer(raw, dtype="<f8")
     arrays = {}
     for entry in manifest["entries"]:
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arrays[entry["name"]] = (
-            blob[entry["offset"] : entry["offset"] + n].reshape(entry["shape"]).astype(np.float64)
-        )
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(map(_is_count, [*entry["shape"], entry.get("offset")]))):
+            raise FormatError(f"{path}: malformed entry {entry!r}")
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        n = math.prod(shape)
+        if offset + n > total:
+            raise FormatError(f"{path}: entry {name!r} reaches past the {total}-value blob")
+        if name in arrays:
+            raise FormatError(f"{path}: duplicate entry {name!r}")
+        arrays[name] = blob[offset : offset + n].reshape(shape).astype(np.float64)
     return arrays, manifest["meta"]

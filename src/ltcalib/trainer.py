@@ -10,7 +10,6 @@ label-aware smoothing, plain CE, or per-class weighted CE.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -23,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import net
+from .artifacts import FormatError, write_csv, write_json
 from .calib import PredictionLog, ece, split_accuracy
-from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, one_hot
+from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch
 from .head import GeneralizedHead, HEAD_MODES
 from .losses import (
     SmoothingSchedule,
@@ -174,9 +174,7 @@ class TrainConfig:
                 raise ValueError(f"{name}.factor: must be a finite number, got {sched['factor']!r}")
 
     def to_json(self, path: str | Path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -235,12 +233,6 @@ class Model:
         return np.exp(_log_softmax_rows(z))
 
 
-def _batches_per_epoch(cfg: TrainConfig, ds: LongTailedDataset) -> int:
-    if cfg.batches_per_epoch is not None:
-        return cfg.batches_per_epoch
-    return math.ceil(len(ds.labels) / cfg.batch_size)
-
-
 def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     """Accuracy, ECE, and split accuracies on the balanced test set."""
     probs = model.predict_probs(ds.test_features)
@@ -251,58 +243,62 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     return out
 
 
-def _check_finite(loss_value: float, epoch: int):
-    if not np.isfinite(loss_value):
-        raise DivergenceError(epoch)
+def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
+         stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
+         mix_tag: int, loss, metrics: list | None) -> Model:
+    """The epoch loop of either stage: draw a batch (mixed up when ``mixup``),
+    run ``model.logits(x, mode)``, take an SGD step on the mixup soft CE or on
+    ``loss(labels, logits)``, and append one curve row per epoch to ``metrics``."""
+    mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
+    mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
+    steps = cfg.batches_per_epoch
+    if steps is None:
+        steps = math.ceil(len(ds.labels) / cfg.batch_size)
+    for epoch in range(epochs):
+        lr = lr_at(schedule, epoch, epochs, base_lr)
+        losses = []
+        for _ in range(steps):
+            x, y = sampler.next_batch(cfg.batch_size)
+            if mixup:
+                perm = mix_rng.permutation(len(x))
+                x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, ds.num_classes,
+                                   lam=cfg.mixup_force_lam)
+                batch_loss = soft_ce_loss(q, model.logits(x, mode))
+            else:
+                batch_loss = loss(y, model.logits(x, mode))
+            losses.append(batch_loss.values.item())
+            if not np.isfinite(losses[-1]):
+                raise DivergenceError(epoch)
+            opt.zero_grad()
+            batch_loss.backward()
+            opt.step(lr)
+        if metrics is not None:
+            ev = evaluate(model, ds)
+            metrics.append({"epoch": epoch, "stage": stage, "lr": lr,
+                            "train_loss": float(np.mean(losses)),
+                            "test_acc": ev["accuracy"], "ece": ev["ece"]})
+    return model
 
 
 def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None = None) -> Model:
     """Joint backbone + linear classifier training on instance-balanced batches."""
-    k = ds.num_classes
     bb_cfg = net.BackboneConfig(
         in_dim=ds.dim, hidden=list(cfg.hidden), batchnorm=cfg.batchnorm,
         bn_momentum=cfg.bn_momentum, seed=cfg.seed,
     )
     backbone = net.Backbone(bb_cfg)
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
-    w = Tensor(w_rng.standard_normal((bb_cfg.feature_dim, k)) / np.sqrt(bb_cfg.feature_dim),
+    w = Tensor(w_rng.standard_normal((bb_cfg.feature_dim, ds.num_classes)) / np.sqrt(bb_cfg.feature_dim),
                requires_grad=True)
-    model = Model(backbone, w)
-
-    sampler = Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0]))
-    mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x3F]))
-    mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=cfg.mixup_stage1)
-
     decayed = [{"params": [lin.weight for lin in backbone.linears] + [w],
                 "weight_decay": cfg.weight_decay}]
     plain = [{"params": [lin.bias for lin in backbone.linears]
               + [p for bn in backbone.norms if bn is not None for p in bn.parameters()]}]
-    opt = SGD(decayed + plain, momentum=cfg.momentum)
-
-    steps = _batches_per_epoch(cfg, ds)
-    for epoch in range(cfg.stage1_epochs):
-        lr = lr_at(cfg.stage1_schedule, epoch, cfg.stage1_epochs, cfg.lr)
-        losses = []
-        for _ in range(steps):
-            x, y = sampler.next_batch(cfg.batch_size)
-            if cfg.mixup_stage1:
-                perm = mix_rng.permutation(len(x))
-                x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, k,
-                                   lam=cfg.mixup_force_lam)
-                loss = soft_ce_loss(q, model.logits(x, net.TRAIN))
-            else:
-                loss = ce_loss(y, model.logits(x, net.TRAIN))
-            _check_finite(loss.values.item(), epoch)
-            opt.zero_grad()
-            loss.backward()
-            opt.step(lr)
-            losses.append(loss.values.item())
-        if metrics is not None:
-            ev = evaluate(model, ds)
-            metrics.append({"epoch": epoch, "stage": 1, "lr": lr,
-                            "train_loss": float(np.mean(losses)),
-                            "test_acc": ev["accuracy"], "ece": ev["ece"]})
-    return model
+    return _fit(Model(backbone, w), SGD(decayed + plain, momentum=cfg.momentum),
+                Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
+                cfg=cfg, ds=ds, stage=1, epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule,
+                base_lr=cfg.lr, mode=net.TRAIN, mixup=cfg.mixup_stage1, mix_tag=0x3F,
+                loss=lambda y, logits: ce_loss(y, logits), metrics=metrics)
 
 
 def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
@@ -310,64 +306,31 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
     """Classifier retraining on class-balanced batches with a frozen backbone."""
     k = ds.num_classes
     head = GeneralizedHead(model.w.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
-    model = Model(model.backbone, model.w, head)
-
-    sampler = Sampler("class", ds, seed=int(np.random.SeedSequence([cfg.seed, 0xC2]).generate_state(1)[0]))
-    mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9D]))
-    mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=cfg.mixup_stage2)
-
-    schedule = None
-    weights = None
-    if cfg.stage2_loss == "las":
-        schedule = SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1,
-                                                 cfg.eps_k, cfg.las_p)
-    elif cfg.stage2_loss == "weighted":
-        weights = effective_number_weights(ds.class_counts)
-
     groups = head.param_groups()
     for g in groups:
         # Weight decay on dW only; the scaling vector s is left undecayed.
         if g["params"][0] is head.dw:
             g["weight_decay"] = cfg.weight_decay
-    opt = SGD(groups, momentum=cfg.momentum)
+    sampler = Sampler("class", ds, seed=int(np.random.SeedSequence([cfg.seed, 0xC2]).generate_state(1)[0]))
 
-    bn_mode = net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL
+    # Chosen once; called through this module's globals on every step.
+    if cfg.stage2_loss == "las":
+        schedule = SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1,
+                                                 cfg.eps_k, cfg.las_p)
+        loss = lambda y, logits: soft_ce_loss(las_target_matrix(schedule, y, k), logits)
+    elif cfg.stage2_loss == "weighted":
+        weights = effective_number_weights(ds.class_counts)
+        loss = lambda y, logits: weighted_ce_loss(weights, y, logits)
+    else:
+        loss = lambda y, logits: ce_loss(y, logits)
+
     if cfg.shift_bn and cfg.bn_warm_steps:
         net.bn_shift_stats(model.backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
-
-    base_lr = cfg.lr * cfg.stage2_lr_scale
-    steps = _batches_per_epoch(cfg, ds)
-    for epoch in range(cfg.stage2_epochs):
-        lr = lr_at(cfg.stage2_schedule, epoch, cfg.stage2_epochs, base_lr)
-        losses = []
-        for _ in range(steps):
-            x, y = sampler.next_batch(cfg.batch_size)
-            q = None
-            if cfg.mixup_stage2:
-                perm = mix_rng.permutation(len(x))
-                x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, k,
-                                   lam=cfg.mixup_force_lam)
-            feats = model.backbone.forward(x, bn_mode)
-            logits = head(feats)  # frozen backbone: feats carry no tape
-            if q is not None:
-                loss = soft_ce_loss(q, logits)
-            elif cfg.stage2_loss == "las":
-                loss = soft_ce_loss(las_target_matrix(schedule, y, k), logits)
-            elif cfg.stage2_loss == "weighted":
-                loss = weighted_ce_loss(weights, y, logits)
-            else:
-                loss = ce_loss(y, logits)
-            _check_finite(loss.values.item(), epoch)
-            opt.zero_grad()
-            loss.backward()
-            opt.step(lr)
-            losses.append(loss.values.item())
-        if metrics is not None:
-            ev = evaluate(model, ds)
-            metrics.append({"epoch": epoch, "stage": 2, "lr": lr,
-                            "train_loss": float(np.mean(losses)),
-                            "test_acc": ev["accuracy"], "ece": ev["ece"]})
-    return model
+    return _fit(Model(model.backbone, model.w, head), SGD(groups, momentum=cfg.momentum), sampler,
+                cfg=cfg, ds=ds, stage=2, epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule,
+                base_lr=cfg.lr * cfg.stage2_lr_scale,
+                mode=net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL,
+                mixup=cfg.mixup_stage2, mix_tag=0x9D, loss=loss, metrics=metrics)
 
 
 def run(cfg: TrainConfig, ds: LongTailedDataset) -> dict:
@@ -403,12 +366,9 @@ def run_ablation_grid(base_cfg: TrainConfig, ds: LongTailedDataset) -> list[dict
 
 
 def write_metrics_csv(metrics: list[dict], path: str | Path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "stage", "lr", "train_loss", "test_acc", "ece"])
-        for row in metrics:
-            writer.writerow([row["epoch"], row["stage"], repr(row["lr"]),
-                             repr(row["train_loss"]), repr(row["test_acc"]), repr(row["ece"])])
+    write_csv(path, ["epoch", "stage", "lr", "train_loss", "test_acc", "ece"],
+              ([row["epoch"], row["stage"], repr(row["lr"]), repr(row["train_loss"]),
+                repr(row["test_acc"]), repr(row["ece"])] for row in metrics))
 
 
 def save_model(model: Model, path_prefix: str | Path, meta: dict | None = None):
@@ -429,14 +389,30 @@ def save_model(model: Model, path_prefix: str | Path, meta: dict | None = None):
 
 
 def load_model(path_prefix: str | Path) -> Model:
+    """A model saved by :func:`save_model`; an array whose shape differs from
+    the one its ``meta`` implies raises :class:`FormatError`."""
     arrays, meta = net.load_checkpoint(path_prefix)
-    bb = net.Backbone(net.BackboneConfig(**meta["backbone"]))
-    bb.load_state_arrays({k[len("backbone."):]: v for k, v in arrays.items()
-                          if k.startswith("backbone.")})
-    w = Tensor(arrays["classifier.w"].copy(), requires_grad=True)
-    head = None
-    if "head" in meta:
-        head = GeneralizedHead(arrays["head.w"], mode=meta["head"]["mode"],
-                               r=meta["head"]["r"], lr_ratio_dw=meta["head"]["lr_ratio_dw"])
+    manifest = Path(path_prefix).with_suffix(".json")
+    try:
+        bb = net.Backbone(net.BackboneConfig(**meta["backbone"]))
+        shape_w = (bb.cfg.feature_dim, meta["num_classes"])
+        expected = {f"backbone.{name}": a.shape for name, a in bb.state_arrays().items()}
+        expected["classifier.w"] = shape_w
+        head = None
+        if "head" in meta:
+            head = GeneralizedHead(np.zeros(shape_w), mode=meta["head"]["mode"],
+                                   r=meta["head"]["r"], lr_ratio_dw=meta["head"]["lr_ratio_dw"])
+            expected.update({name: a.shape for name, a in head.state_arrays().items()})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{manifest}: malformed meta ({exc!r})") from None
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise FormatError(f"{manifest}: no entry {name!r}")
+        if arrays[name].shape != shape:
+            raise FormatError(f"{manifest}: {name} has shape {list(arrays[name].shape)}, "
+                              f"meta implies {list(shape)}")
+    bb.load_state_arrays({name[len("backbone."):]: a for name, a in arrays.items()
+                          if name.startswith("backbone.")})
+    if head is not None:
         head.load_state_arrays(arrays)
-    return Model(bb, w, head)
+    return Model(bb, Tensor(arrays["classifier.w"].copy(), requires_grad=True), head)

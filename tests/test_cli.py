@@ -59,6 +59,12 @@ class TestGenData:
               "--dim", "3", "--out", str(tmp_path / "flat")])
         assert "many=0 medium=3 few=0" in capsys.readouterr().out
 
+    def test_no_test_rows_is_usage_error_and_writes_nothing(self, tmp_path):
+        code = main(["gen-data", "--classes", "3", "--nmax", "10", "--nmin", "2",
+                     "--dim", "3", "--test-per-class", "0", "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_profile_is_usage_error(self, tmp_path, capsys):
         code = main(["gen-data", "--classes", "3", "--nmax", "10", "--nmin", "0",
                      "--dim", "3", "--out", str(tmp_path / "x")])
@@ -283,3 +289,43 @@ class TestMalformedDataset:
         _edit_lines(prefix.with_suffix(".test.csv"), lambda lines: [*lines, "", ""])
         assert main([*args, "--data", str(prefix)]) == EXIT_OK
         assert capsys.readouterr().out == expected
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(manifest)))
+
+
+def _move_last_entry_past_blob(manifest):
+    manifest["entries"][-1]["offset"] = manifest["total"] - 1
+    return manifest
+
+
+# name -> (file to edit, edit); the workspace model has hidden [8] and 3 classes.
+MALFORMED_CHECKPOINT = {
+    "truncated_bin": (".bin", lambda path: path.write_bytes(path.read_bytes()[:-12])),
+    "doubled_bin": (".bin", lambda path: path.write_bytes(path.read_bytes() * 2)),
+    "manifest_is_a_list": (".json", lambda path: path.write_text("[]")),
+    "manifest_not_json": (".json", lambda path: path.write_text('{"entries": [')),
+    "entry_past_blob": (".json", lambda path: _edit_manifest(path, _move_last_entry_past_blob)),
+    "duplicate_entry": (".json", lambda path: _edit_manifest(
+        path, lambda m: dict(m, entries=m["entries"] + m["entries"][:1]))),
+    "entry_shape_differs_from_meta": (".json", lambda path: _edit_manifest(
+        path, lambda m: dict(m, entries=[dict(e, shape=[2, 2, 2]) if e["name"] == "classifier.w" else e
+                                         for e in m["entries"]]))),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINT))
+    def test_malformed_checkpoint_exits_io_with_one_line(self, workspace, tmp_path, capsys, case):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace / "run" / f"model{suffix}", tmp_path / f"model{suffix}")
+        suffix, edit = MALFORMED_CHECKPOINT[case]
+        edit(tmp_path / f"model{suffix}")
+        code = main(["eval", "--checkpoint", str(tmp_path / "model"),
+                     "--data", str(workspace / "blobs")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"i/o error: {tmp_path / 'model'}.") and err.count("\n") == 1, err
+        assert "Traceback" not in err

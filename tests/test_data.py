@@ -276,3 +276,11 @@ class TestAtomicSave:
         with pytest.raises(OSError):
             save_dataset(ds, tmp_path / "blob")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_empty_class_is_rejected_before_any_write(self, tmp_path):
+        # An empty class makes the imbalance factor infinite, which is not valid JSON.
+        ds = LongTailedDataset(features=np.zeros((2, 3)), labels=np.array([0, 0]),
+                               class_counts=np.array([2, 0]), splits=["few", "few"])
+        with pytest.raises(ValueError, match="empty class"):
+            save_dataset(ds, tmp_path / "d")
+        assert list(tmp_path.iterdir()) == []

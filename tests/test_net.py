@@ -199,3 +199,11 @@ class TestCheckpoint:
         for k in arrays:
             assert back[k].tobytes() == arrays[k].tobytes()
             assert back[k].shape == arrays[k].shape
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, rng):
+        arrays = {"w": rng.standard_normal((3, 4))}
+        with pytest.raises(ValueError):  # NaN is not valid JSON
+            net.save_checkpoint(tmp_path / "ckpt", arrays, {"note": float("nan")})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+        with pytest.raises(FileNotFoundError):
+            net.load_checkpoint(tmp_path / "ckpt")

@@ -189,11 +189,18 @@ class TestStage2:
             run(cfg, ds)
         assert exc.value.epoch >= 0
 
-    @pytest.mark.parametrize("loss", ["las", "ce", "weighted"])
-    def test_all_stage2_losses_train(self, ds, loss):
-        cfg = tiny_cfg(stage2_loss=loss)
+    @pytest.mark.parametrize("loss, mixup", [("las", False), ("ce", False), ("weighted", False),
+                                             ("weighted", True)],
+                             ids=["las", "ce", "weighted", "weighted-mixup_stage2"])
+    def test_all_stage2_losses_train(self, ds, loss, mixup):
+        cfg = tiny_cfg(stage2_loss=loss, mixup_stage2=mixup)
         res = run(cfg, ds)
         assert np.isfinite(res["final"]["accuracy"])
+        again = run(cfg, ds)
+        assert again["curves"] == res["curves"]
+        for name in ("dw", "s"):
+            assert (getattr(again["model"].head, name).values.tobytes()
+                    == getattr(res["model"].head, name).values.tobytes())
 
     @pytest.mark.parametrize("mode", ["crt", "lws", "generalized"])
     def test_all_head_modes_train(self, ds, mode):
