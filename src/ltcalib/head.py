@@ -40,35 +40,45 @@ class GeneralizedHead:
         self.dw = Tensor(np.zeros((m, k)), requires_grad=(mode != "lws"))
         self.s = Tensor(np.ones(k), requires_grad=(mode != "crt"))
 
-    def _unscaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The effective weight ``r * W + dW`` and ``x`` times it, before scaling by ``s``."""
+    def forward_arrays(self, x: np.ndarray):
+        """Logits ``(x @ (r * W + dW)) * s`` of feature rows on arrays, recording
+        no tape; the context is for :meth:`backward_arrays`."""
         if x.shape[1] != self.w.shape[0]:
             raise ValueError(f"feature width {x.shape[1]} != {self.w.shape[0]}")
         eff = self.r * self.w + self.dw.values
-        return eff, x @ eff
+        z = x @ eff
+        return z * self.s.values, (x, eff, z)
+
+    def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
+        """Gradients (x, dW, s) of :meth:`forward_arrays`; x's is None unless
+        ``input_grad``, and a frozen parameter's is None."""
+        x, eff, z = ctx
+        g_z = g * self.s.values
+        return (g_z @ eff.T if input_grad else None,
+                x.T @ g_z if self.dw.requires_grad else None,
+                (g * z).sum(axis=0) if self.s.requires_grad else None)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Logits of feature rows as a plain array, recording no tape; the same
-        values as :meth:`forward`."""
-        return self._unscaled(x)[1] * self.s.values
+        """Logits of feature rows as a plain array; the same values as :meth:`forward`."""
+        return self.forward_arrays(x)[0]
 
     def forward(self, x) -> Tensor:
         """Logits as one tape node; same values and gradients as the composite
         ``(x @ (Tensor(r * W) + dW)) * s``."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         dw, s = self.dw, self.s
-        eff, z = self._unscaled(x.values)
+        out, ctx = self.forward_arrays(x.values)
 
         def backward(g):
-            g_z = g * s.values
-            if s.requires_grad:
-                s._accumulate((g * z).sum(axis=0))
-            if x.requires_grad:
-                x._accumulate(g_z @ eff.T)
-            if dw.requires_grad:
-                dw._accumulate(x.values.T @ g_z)
+            g_x, g_dw, g_s = self.backward_arrays(ctx, g, x.requires_grad)
+            if g_s is not None:
+                s._accumulate(g_s)
+            if g_x is not None:
+                x._accumulate(g_x)
+            if g_dw is not None:
+                dw._accumulate(g_dw)
 
-        return Tensor._from_op(z * s.values, (x, dw, s), backward)
+        return Tensor._from_op(out, (x, dw, s), backward)
 
     __call__ = forward
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,35 +76,51 @@ class BatchNorm:
         if self.mode != TRAIN:
             _check_frozen_input(h, self.mode)
             return Tensor(self.normalize(h.values))
-        hv = h.values
-        m = hv.shape[0]
+        out, ctx = self.train_forward(h.values)
+        scale, shift = self.scale, self.shift
+
+        def backward(g):
+            g_h, g_scale, g_shift = self.train_backward(ctx, g, h.requires_grad)
+            shift._accumulate(g_shift)
+            scale._accumulate(g_scale)
+            if g_h is not None:
+                h._accumulate(g_h)
+
+        return Tensor._from_op(out, (h, scale, shift), backward)
+
+    def train_forward(self, h: np.ndarray):
+        """Train mode on arrays: normalize by the batch statistics and fold
+        them into the running ones. Returns the output and the context for
+        :meth:`train_backward`."""
+        m = h.shape[0]
         if m < 2:
             raise ValueError("batch normalization needs batch size >= 2 in training modes")
         # The arithmetic, and in backward its order, is that of the composite
         # graph mean -> diff -> var -> sqrt -> divide -> affine, so values,
         # gradients and running statistics match it bit for bit.
         inv_m = 1.0 / m
-        mu = hv.sum(axis=0) * inv_m
-        diff = hv - mu
+        mu = h.sum(axis=0) * inv_m
+        diff = h - mu
         var = (diff * diff).sum(axis=0) * inv_m
         self._update_running(mu, var)
         sd = np.sqrt(var + self.eps)
         x_hat = diff / sd
-        scale, shift = self.scale, self.shift
+        return self.scale.values * x_hat + self.shift.values, (diff, sd, x_hat, inv_m)
 
-        def backward(g):
-            shift._accumulate(g.sum(axis=0))
-            scale._accumulate((g * x_hat).sum(axis=0))
-            if not h.requires_grad:
-                return
-            g_xhat = g * scale.values
-            g_sd = (-g_xhat * diff / sd**2).sum(axis=0)
-            g_sq = (g_sd * 0.5 / sd * inv_m) * diff  # through diff * diff, once per factor
-            g_diff = (g_xhat / sd + g_sq) + g_sq
-            g_mean = -g_diff.sum(axis=0) * inv_m  # h's share through the batch mean
-            h._accumulate(g_diff + g_mean)
-
-        return Tensor._from_op(scale.values * x_hat + shift.values, (h, scale, shift), backward)
+    def train_backward(self, ctx, g: np.ndarray, input_grad: bool = True):
+        """Gradients (input, scale, shift) of :meth:`train_forward`; the input's
+        is None unless ``input_grad``."""
+        diff, sd, x_hat, inv_m = ctx
+        g_shift = g.sum(axis=0)
+        g_scale = (g * x_hat).sum(axis=0)
+        if not input_grad:
+            return None, g_scale, g_shift
+        g_xhat = g * self.scale.values
+        g_sd = (-g_xhat * diff / sd**2).sum(axis=0)
+        g_sq = (g_sd * 0.5 / sd * inv_m) * diff  # through diff * diff, once per factor
+        g_diff = (g_xhat / sd + g_sq) + g_sq
+        g_mean = -g_diff.sum(axis=0) * inv_m  # h's share through the batch mean
+        return g_diff + g_mean, g_scale, g_shift
 
     def normalize(self, h: np.ndarray) -> np.ndarray:
         """Eval or shift mode on plain values: affine frozen, nothing recorded.
@@ -173,18 +190,12 @@ class Backbone:
         """Features of a batch. Train mode records the tape; eval and shift
         modes run on plain values and return a tensor with no gradient (an
         input with ``requires_grad`` is rejected there)."""
-        self.set_mode(mode)
-        values = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if values.shape[1] != self.cfg.in_dim:
-            raise ValueError(f"input width {values.shape[1]} != {self.cfg.in_dim}")
         if mode != TRAIN:
             _check_frozen_input(x, mode)
-            for lin, bn in zip(self.linears, self.norms):
-                values = values @ lin.weight.values.T + lin.bias.values
-                if bn is not None:
-                    values = bn.normalize(values)
-                values = values * (values > 0.0)
-            return Tensor(values)
+            return Tensor(self.frozen_features(x.values if isinstance(x, Tensor) else x, mode))
+        self.set_mode(mode)
+        values = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        self._check_width(values)
         h = x if isinstance(x, Tensor) else Tensor(values)
         for lin, bn in zip(self.linears, self.norms):
             h = lin(h)
@@ -192,6 +203,22 @@ class Backbone:
                 h = bn(h)
             h = relu(h)
         return h
+
+    def frozen_features(self, x: np.ndarray, mode: str) -> np.ndarray:
+        """Features of a batch of plain values in eval or shift mode, as an array."""
+        self.set_mode(mode)
+        values = np.asarray(x, dtype=np.float64)
+        self._check_width(values)
+        for lin, bn in zip(self.linears, self.norms):
+            values = values @ lin.weight.values.T + lin.bias.values
+            if bn is not None:
+                values = bn.normalize(values)
+            values = values * (values > 0.0)
+        return values
+
+    def _check_width(self, values: np.ndarray):
+        if values.shape[1] != self.cfg.in_dim:
+            raise ValueError(f"input width {values.shape[1]} != {self.cfg.in_dim}")
 
     def parameters(self) -> list[Tensor]:
         params: list[Tensor] = []
@@ -237,7 +264,8 @@ def bn_shift_stats(backbone: Backbone, sampler, steps: int, batch: int) -> None:
 
 def save_checkpoint(path_prefix: str | Path, arrays: dict[str, np.ndarray], meta: dict):
     """Write <prefix>.bin (f64 LE blob), then <prefix>.json (manifest), each
-    atomically; bit-exact round trip."""
+    atomically; bit-exact round trip. The manifest records the blob's SHA-256,
+    so a blob left beside another save's manifest fails to load."""
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     blobs = {name: np.ascontiguousarray(arrays[name], dtype="<f8") for name in sorted(arrays)}
@@ -245,9 +273,10 @@ def save_checkpoint(path_prefix: str | Path, arrays: dict[str, np.ndarray], meta
     for name, arr in blobs.items():
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size
-    write_atomic(prefix.with_suffix(".bin"),
-                 lambda fh: fh.write(b"".join(arr.tobytes() for arr in blobs.values())), binary=True)
-    write_json(prefix.with_suffix(".json"), {"meta": meta, "entries": entries, "total": offset})
+    raw = b"".join(arr.tobytes() for arr in blobs.values())
+    write_atomic(prefix.with_suffix(".bin"), lambda fh: fh.write(raw), binary=True)
+    write_json(prefix.with_suffix(".json"), {"meta": meta, "entries": entries, "total": offset,
+                                             "sha256": hashlib.sha256(raw).hexdigest()})
 
 
 def _is_count(value) -> bool:
@@ -256,7 +285,8 @@ def _is_count(value) -> bool:
 
 def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays and meta of a checkpoint; a manifest or blob that does not hold
-    one raises :class:`FormatError` naming the file."""
+    one, or a blob whose SHA-256 is not the manifest's, raises
+    :class:`FormatError` naming the file."""
     prefix = Path(path_prefix)
     path = prefix.with_suffix(".json")
     try:
@@ -272,6 +302,10 @@ def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dic
     raw = bin_path.read_bytes()
     if len(raw) != 8 * total:
         raise FormatError(f"{bin_path}: {len(raw)} bytes, manifest total is {total} float64 values")
+    # Manifests written before the checksum was recorded have none to check.
+    if "sha256" in manifest and manifest["sha256"] != hashlib.sha256(raw).hexdigest():
+        raise FormatError(f"{bin_path}: SHA-256 differs from the manifest's; "
+                          "the blob and the manifest come from different saves")
     blob = np.frombuffer(raw, dtype="<f8")
     arrays = {}
     for entry in manifest["entries"]:

@@ -6,13 +6,21 @@ general autodiff API; ``linear`` and ``softmax_cross_entropy`` are fused
 nodes that record one tape entry for a whole layer or loss. A fused backward
 repeats the arithmetic of the composite graph it replaces in the same order,
 so both give bit-identical gradients.
+
+The arithmetic of these nodes and of ``relu`` is a pair of plain-array
+kernels, ``<op>_forward(...) -> (out, ctx)`` and ``<op>_backward(ctx, g)``.
+The node calls them, and the training loop chains them directly, with no tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "matmul", "linear", "relu", "log_softmax", "softmax", "softmax_cross_entropy"]
+__all__ = [
+    "Tensor", "matmul", "linear", "linear_forward", "linear_backward", "relu", "relu_forward",
+    "relu_backward", "log_softmax", "softmax", "softmax_cross_entropy",
+    "softmax_cross_entropy_forward", "softmax_cross_entropy_backward",
+]
 
 
 class Tensor:
@@ -234,32 +242,57 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_vals, (a, b), backward)
 
 
+def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
+    """y = x @ w.T + b on arrays, w of shape (out, in); the context is for
+    :func:`linear_backward`."""
+    out = x @ w.T
+    if b is not None:
+        out = out + b
+    return out, (x, w, b is not None)
+
+
+def linear_backward(ctx, g: np.ndarray, input_grad: bool = True):
+    """Gradients (x, w, b) of :func:`linear_forward`; x's is None unless
+    ``input_grad``, b's is None for a layer without bias."""
+    x, w, has_bias = ctx
+    return (g @ w if input_grad else None), (x.T @ g).T, (g.sum(axis=0) if has_bias else None)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w.T + b as one node; w has shape (out, in).
 
     Same values and gradients as ``x @ w.T + b`` built from matmul, T and add.
     """
-    out_vals = x.values @ w.values.T
-    if b is not None:
-        out_vals = out_vals + b.values
+    out_vals, ctx = linear_forward(x.values, w.values, None if b is None else b.values)
 
     def backward(g):
+        g_x, g_w, g_b = linear_backward(ctx, g, x.requires_grad)
         if b is not None:
-            b._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(g @ w.values)
-        w._accumulate((x.values.T @ g).T)
+            b._accumulate(g_b)
+        if g_x is not None:
+            x._accumulate(g_x)
+        w._accumulate(g_w)
 
     return Tensor._from_op(out_vals, (x, w) if b is None else (x, w, b), backward)
 
 
+def relu_forward(x: np.ndarray):
+    """max(x, 0) on arrays, written as ``x * (x > 0)``; the context is the mask."""
+    mask = x > 0.0
+    return x * mask, mask
+
+
+def relu_backward(mask: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g * mask
+
+
 def relu(t: Tensor) -> Tensor:
-    mask = t.values > 0.0
+    out_vals, mask = relu_forward(t.values)
 
     def backward(g):
-        t._accumulate(g * mask)
+        t._accumulate(relu_backward(mask, g))
 
-    return Tensor._from_op(t.values * mask, (t,), backward)
+    return Tensor._from_op(out_vals, (t,), backward)
 
 
 def _rows(t: Tensor) -> np.ndarray:
@@ -295,6 +328,23 @@ def softmax(t: Tensor) -> Tensor:
     return log_softmax(t).exp()
 
 
+def softmax_cross_entropy_forward(q: np.ndarray, z: np.ndarray):
+    """Mean over rows of -sum_i q_i log softmax(z)_i for (m, K) arrays ``q``
+    and ``z``; the loss is a float64 scalar, the context is for
+    :func:`softmax_cross_entropy_backward`."""
+    logp = _log_softmax_rows(z)
+    scale = 1.0 / q.shape[0]
+    return -(q * logp).sum() * scale, (q, logp, scale)
+
+
+def softmax_cross_entropy_backward(ctx, g=1.0) -> np.ndarray:
+    """Gradient w.r.t. the logits of :func:`softmax_cross_entropy_forward`,
+    given the loss's upstream gradient ``g``."""
+    q, logp, scale = ctx
+    gq = -(g * scale) * q
+    return gq - np.exp(logp) * gq.sum(axis=1, keepdims=True)
+
+
 def softmax_cross_entropy(q: np.ndarray, t: Tensor) -> Tensor:
     """Mean over rows of -sum_i q_i log softmax(t)_i as one node.
 
@@ -305,13 +355,9 @@ def softmax_cross_entropy(q: np.ndarray, t: Tensor) -> Tensor:
     vals = _rows(t)
     if q.shape != vals.shape:
         raise ValueError(f"targets of shape {q.shape} for logits of shape {t.shape}")
-    logp = _log_softmax_rows(vals)
-    scale = 1.0 / q.shape[0]
-    loss = -(q * logp).sum() * scale
+    loss, ctx = softmax_cross_entropy_forward(q, vals)
 
     def backward(g):
-        gq = -(g * scale) * q
-        gt = gq - np.exp(logp) * gq.sum(axis=1, keepdims=True)
-        t._accumulate(gt.reshape(t.values.shape))
+        t._accumulate(softmax_cross_entropy_backward(ctx, g).reshape(t.values.shape))
 
     return Tensor._from_op(loss, (t,), backward)

@@ -24,9 +24,12 @@ import numpy as np
 from . import net
 from .artifacts import FormatError, write_csv, write_json
 from .calib import PredictionLog, ece, split_accuracy
-from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch
+from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, one_hot
 from .head import GeneralizedHead, HEAD_MODES
+# Training builds soft-CE targets and runs the loss kernels directly; the taped
+# losses stay importable from here, where perfbench's tracer looks them up.
 from .losses import (
+    RELATED_FN_KINDS,
     SmoothingSchedule,
     ce_loss,
     effective_number_weights,
@@ -34,7 +37,16 @@ from .losses import (
     soft_ce_loss,
     weighted_ce_loss,
 )
-from .tensor import Tensor, _log_softmax_rows
+from .tensor import (
+    Tensor,
+    _log_softmax_rows,
+    linear_backward,
+    linear_forward,
+    relu_backward,
+    relu_forward,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
+)
 
 __all__ = [
     "TrainConfig",
@@ -56,6 +68,9 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
+SCHEDULE_KINDS = ("multistep", "cosine")
+
+
 def lr_at(schedule: dict, epoch: int, total_epochs: int, base_lr: float) -> float:
     """Learning rate at an epoch.
 
@@ -74,12 +89,33 @@ def lr_at(schedule: dict, epoch: int, total_epochs: int, base_lr: float) -> floa
 
 
 class SGD:
-    """Momentum SGD with per-group learning-rate multipliers and L2 decay."""
+    """Momentum SGD with per-group learning-rate multipliers and L2 decay.
+
+    Each group keeps its parameters' values in one flat buffer, with every
+    parameter's ``.values`` rebound to a view into it, beside one flat gradient
+    and one flat velocity buffer, so a step is a few array operations per
+    group. Groups are never merged: adding ``0.0 * p`` to an undecayed
+    gradient would turn a ``-0.0`` into ``+0.0``.
+    """
 
     def __init__(self, param_groups: list[dict], momentum: float = 0.9):
         self.groups = param_groups
         self.momentum = momentum
-        self.velocity = {id(p): np.zeros_like(p.values) for g in param_groups for p in g["params"]}
+        self.velocity: dict[int, np.ndarray] = {}  # id(param) -> view into its group's buffer
+        self._flat = []  # per non-empty group: (group, values, grads, velocity, slices)
+        for g in param_groups:
+            params = g["params"]
+            if not params:
+                continue
+            ends = np.cumsum([p.values.size for p in params]).tolist()
+            spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+            values, velocity = np.empty(ends[-1]), np.zeros(ends[-1])
+            for p, span in zip(params, spans):
+                shape = p.values.shape
+                values[span] = p.values.ravel()
+                p.values = values[span].reshape(shape)
+                self.velocity[id(p)] = velocity[span].reshape(shape)
+            self._flat.append((g, values, np.empty_like(values), velocity, spans))
 
     def zero_grad(self):
         for g in self.groups:
@@ -87,17 +123,26 @@ class SGD:
                 p.zero_grad()
 
     def step(self, lr: float):
-        for g in self.groups:
+        """One update of every parameter with a gradient; one whose ``.grad``
+        is None keeps its values and velocity."""
+        for g, values, grads, velocity, spans in self._flat:
             eff_lr = lr * g.get("lr_mult", 1.0)
             wd = g.get("weight_decay", 0.0)
-            for p in g["params"]:
-                if p.grad is None:
-                    continue
-                v = self.velocity[id(p)]
-                grad = p.grad + wd * p.values if wd else p.grad
-                v *= self.momentum
-                v += grad
-                p.values = p.values - eff_lr * v
+            params = g["params"]
+            if all(p.grad is not None for p in params):
+                np.concatenate([p.grad.ravel() for p in params], out=grads)
+                self._update(values, grads, velocity, eff_lr, wd)
+                continue
+            for p, span in zip(params, spans):
+                if p.grad is not None:
+                    self._update(values[span], p.grad.ravel(), velocity[span], eff_lr, wd)
+
+    def _update(self, values, grad, velocity, lr, wd):
+        if wd:
+            grad = grad + wd * values
+        velocity *= self.momentum
+        velocity += grad
+        values -= lr * velocity
 
 
 @dataclass
@@ -140,6 +185,13 @@ class TrainConfig:
             raise ValueError("stage1_epochs: must be >= 1")
         if self.stage2_epochs < 0:
             raise ValueError("stage2_epochs: must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size: must be >= 1")
+        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
+            raise ValueError("batches_per_epoch: must be >= 1 or null")
+        for name in ("stage1_schedule", "stage2_schedule"):
+            if getattr(self, name).get("kind") not in SCHEDULE_KINDS:
+                raise ValueError(f"{name}.kind: must be one of {SCHEDULE_KINDS}")
         ms = self.stage1_schedule.get("milestones", [])
         if any(b <= a for a, b in zip(ms, ms[1:])) or any(m >= self.stage1_epochs for m in ms):
             raise ValueError("stage1_schedule.milestones: must be strictly increasing and < stage1_epochs")
@@ -149,6 +201,8 @@ class TrainConfig:
             raise ValueError(f"head_mode: unknown mode {self.head_mode!r}")
         if self.stage2_loss not in ("las", "ce", "weighted"):
             raise ValueError(f"stage2_loss: unknown loss {self.stage2_loss!r}")
+        if self.las_kind not in RELATED_FN_KINDS:
+            raise ValueError(f"las_kind: unknown related function {self.las_kind!r}")
         if self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha: must be positive")
 
@@ -225,6 +279,44 @@ class Model:
             return self.head(feats)
         return feats @ self.w
 
+    def train_forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, object]:
+        """Logits of a training batch on plain arrays, recording no tape, and the
+        context :meth:`train_backward` needs. Without a head (Stage 1) the
+        backbone runs in train mode and the logits are ``feats @ w``; with one
+        (Stage 2) the backbone runs frozen in ``mode`` and only the head learns."""
+        if self.head is not None:
+            return self.head.forward_arrays(self.backbone.frozen_features(x, mode))
+        ctxs, h = [], x
+        for lin, bn in zip(self.backbone.linears, self.backbone.norms):
+            h, ctx = linear_forward(h, lin.weight.values, lin.bias.values)
+            ctxs.append(ctx)
+            if bn is not None:
+                h, ctx = bn.train_forward(h)
+                ctxs.append(ctx)
+            h, ctx = relu_forward(h)
+            ctxs.append(ctx)
+        z, ctx = linear_forward(h, self.w.values.T)  # feats @ w: w.T's transpose is w itself
+        ctxs.append(ctx)
+        return z, ctxs
+
+    def train_backward(self, ctx, g: np.ndarray):
+        """Set ``.grad`` of every learnable parameter from ``g``, the loss's
+        gradient w.r.t. the logits of :meth:`train_forward`, consuming its
+        context. Both stages' graphs are chains without fan-out, so each
+        parameter gets exactly one gradient."""
+        if self.head is not None:
+            _, self.head.dw.grad, self.head.s.grad = self.head.backward_arrays(ctx, g, False)
+            return
+        layers = list(zip(self.backbone.linears, self.backbone.norms))
+        g, g_wt, _ = linear_backward(ctx.pop(), g, bool(layers))
+        self.w.grad = g_wt.T  # the array feats.T @ g, as the taped matmul gives it
+        for i in reversed(range(len(layers))):
+            lin, bn = layers[i]
+            g = relu_backward(ctx.pop(), g)
+            if bn is not None:
+                g, bn.scale.grad, bn.shift.grad = bn.train_backward(ctx.pop(), g)
+            g, lin.weight.grad, lin.bias.grad = linear_backward(ctx.pop(), g, i > 0)
+
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities on plain arrays, recording no tape;
         the same values as ``softmax(self.logits(x, net.EVAL)).values``."""
@@ -245,10 +337,11 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
 
 def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
          stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
-         mix_tag: int, loss, metrics: list | None) -> Model:
+         mix_tag: int, targets, metrics: list | None) -> Model:
     """The epoch loop of either stage: draw a batch (mixed up when ``mixup``),
-    run ``model.logits(x, mode)``, take an SGD step on the mixup soft CE or on
-    ``loss(labels, logits)``, and append one curve row per epoch to ``metrics``."""
+    run the model's forward chain on arrays, take an SGD step on the soft CE
+    against the mixup targets or ``targets(labels)``, and append one curve row
+    per epoch to ``metrics``."""
     mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
     mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
     steps = cfg.batches_per_epoch
@@ -263,14 +356,14 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
                 perm = mix_rng.permutation(len(x))
                 x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, ds.num_classes,
                                    lam=cfg.mixup_force_lam)
-                batch_loss = soft_ce_loss(q, model.logits(x, mode))
             else:
-                batch_loss = loss(y, model.logits(x, mode))
-            losses.append(batch_loss.values.item())
+                q = targets(y)
+            z, ctx = model.train_forward(x, mode)
+            loss, ce_ctx = softmax_cross_entropy_forward(q, z)
+            losses.append(loss.item())
             if not np.isfinite(losses[-1]):
                 raise DivergenceError(epoch)
-            opt.zero_grad()
-            batch_loss.backward()
+            model.train_backward(ctx, softmax_cross_entropy_backward(ce_ctx))
             opt.step(lr)
         if metrics is not None:
             ev = evaluate(model, ds)
@@ -298,7 +391,7 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
                 Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
                 cfg=cfg, ds=ds, stage=1, epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule,
                 base_lr=cfg.lr, mode=net.TRAIN, mixup=cfg.mixup_stage1, mix_tag=0x3F,
-                loss=lambda y, logits: ce_loss(y, logits), metrics=metrics)
+                targets=lambda y: one_hot(y, ds.num_classes), metrics=metrics)
 
 
 def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
@@ -313,16 +406,17 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
             g["weight_decay"] = cfg.weight_decay
     sampler = Sampler("class", ds, seed=int(np.random.SeedSequence([cfg.seed, 0xC2]).generate_state(1)[0]))
 
-    # Chosen once; called through this module's globals on every step.
+    # The soft-CE targets of a batch's labels, chosen once; las_target_matrix is
+    # called through this module's globals on every step.
     if cfg.stage2_loss == "las":
         schedule = SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1,
                                                  cfg.eps_k, cfg.las_p)
-        loss = lambda y, logits: soft_ce_loss(las_target_matrix(schedule, y, k), logits)
+        targets = lambda y: las_target_matrix(schedule, y, k)
     elif cfg.stage2_loss == "weighted":
         weights = effective_number_weights(ds.class_counts)
-        loss = lambda y, logits: weighted_ce_loss(weights, y, logits)
+        targets = lambda y: one_hot(y, k) * weights[y][:, None]
     else:
-        loss = lambda y, logits: ce_loss(y, logits)
+        targets = lambda y: one_hot(y, k)
 
     if cfg.shift_bn and cfg.bn_warm_steps:
         net.bn_shift_stats(model.backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
@@ -330,7 +424,7 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
                 cfg=cfg, ds=ds, stage=2, epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule,
                 base_lr=cfg.lr * cfg.stage2_lr_scale,
                 mode=net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL,
-                mixup=cfg.mixup_stage2, mix_tag=0x9D, loss=loss, metrics=metrics)
+                mixup=cfg.mixup_stage2, mix_tag=0x9D, targets=targets, metrics=metrics)
 
 
 def run(cfg: TrainConfig, ds: LongTailedDataset) -> dict:

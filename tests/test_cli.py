@@ -120,6 +120,24 @@ class TestTrain:
         assert next(iter(patch)) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("patch", [{"batch_size": 0}, {"batches_per_epoch": 0},
+                                       {"stage1_schedule": {"kind": "poly"}},
+                                       {"stage2_schedule": {"kind": "bogus"}},
+                                       {"las_kind": "nope"}],
+                             ids=["batch_size", "batches_per_epoch", "stage1_schedule",
+                                  "stage2_schedule", "las_kind"])
+    def test_out_of_range_value_exits_usage_before_reading_data(self, tmp_path, capsys, patch):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **patch)))
+        # A missing dataset would exit 2, so exit 1 shows the config failed first.
+        code = main(["train", "--config", str(cfg_path),
+                     "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert next(iter(patch)) in err
+        assert not (tmp_path / "o").exists()
+
     def test_requires_config_or_preset(self, workspace, tmp_path):
         assert main(["train", "--data", str(workspace / "blobs"),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -310,6 +328,7 @@ MALFORMED_CHECKPOINT = {
     "entry_past_blob": (".json", lambda path: _edit_manifest(path, _move_last_entry_past_blob)),
     "duplicate_entry": (".json", lambda path: _edit_manifest(
         path, lambda m: dict(m, entries=m["entries"] + m["entries"][:1]))),
+    "blob_of_another_save": (".bin", lambda path: path.write_bytes(path.read_bytes()[::-1])),
     "entry_shape_differs_from_meta": (".json", lambda path: _edit_manifest(
         path, lambda m: dict(m, entries=[dict(e, shape=[2, 2, 2]) if e["name"] == "classifier.w" else e
                                          for e in m["entries"]]))),

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from ltcalib import net
+from ltcalib.artifacts import FormatError
 from ltcalib.data import Sampler, gen_gaussian_blobs
 from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear, bn_shift_stats
 from ltcalib.tensor import Tensor, log_softmax
@@ -207,3 +210,20 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
         with pytest.raises(FileNotFoundError):
             net.load_checkpoint(tmp_path / "ckpt")
+
+    def test_failed_manifest_rewrite_does_not_load(self, tmp_path, rng):
+        net.save_checkpoint(tmp_path / "ckpt", {"w": rng.standard_normal((3, 4))}, {"note": "old"})
+        with pytest.raises(ValueError):  # NaN is not valid JSON
+            net.save_checkpoint(tmp_path / "ckpt", {"w": rng.standard_normal((3, 4))},
+                                {"note": float("nan")})
+        with pytest.raises(FormatError, match="SHA-256"):
+            net.load_checkpoint(tmp_path / "ckpt")
+
+    def test_manifest_without_checksum_still_loads(self, tmp_path, rng):
+        arrays = {"w": rng.standard_normal((3, 4))}
+        net.save_checkpoint(tmp_path / "ckpt", arrays, {"note": "x"})
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        del manifest["sha256"]
+        (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+        back, meta = net.load_checkpoint(tmp_path / "ckpt")
+        assert meta == {"note": "x"} and back["w"].tobytes() == arrays["w"].tobytes()

@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from ltcalib import net
+from ltcalib import net, trainer
 from ltcalib.tensor import Tensor, softmax
-from ltcalib.data import gen_gaussian_blobs
+from ltcalib.data import MixupConfig, gen_gaussian_blobs, mixup_batch
+from ltcalib.losses import (
+    SmoothingSchedule,
+    ce_loss,
+    effective_number_weights,
+    las_target_matrix,
+    soft_ce_loss,
+    weighted_ce_loss,
+)
 from ltcalib.trainer import (
     ABLATION_CELLS,
+    SGD,
     DivergenceError,
     TrainConfig,
     evaluate,
@@ -84,6 +93,13 @@ class TestConfig:
             {"head_mode": "cosine"},
             {"stage2_loss": "focal"},
             {"mixup_alpha": 0.0},
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"batches_per_epoch": 0},
+            {"stage1_schedule": {"kind": "poly"}},
+            {"stage2_schedule": {"kind": "bogus"}},
+            {"stage2_schedule": {"milestones": [1]}},
+            {"las_kind": "nope"},
         ],
     )
     def test_invalid_values_rejected(self, patch):
@@ -118,6 +134,151 @@ class TestConfig:
         cfg.to_json(tmp_path / "cfg.json")
         back = TrainConfig.from_json(tmp_path / "cfg.json")
         assert back == cfg
+
+
+class TestSGD:
+    def test_parameter_without_gradient_keeps_values_and_velocity(self):
+        grads = [(np.array([0.3, -0.1]), np.array([[1.0], [-1.0]])), (np.array([0.2, 0.2]), None)]
+        runs = []
+        for make in (SGD, _PerParameterSGD):
+            a = Tensor([1.0, -2.0], requires_grad=True)
+            b = Tensor([[0.5], [3.0]], requires_grad=True)
+            opt = make([{"params": [a, b], "weight_decay": 0.1}], momentum=0.9)
+            for a.grad, b.grad in grads:  # b has no gradient in the second step
+                kept = b.values.tobytes(), opt.velocity[id(b)].tobytes()
+                opt.step(0.5)
+            assert (b.values.tobytes(), opt.velocity[id(b)].tobytes()) == kept
+            runs.append([a.values.tobytes(), opt.velocity[id(a)].tobytes(), b.values.tobytes()])
+        assert runs[0] == runs[1]
+
+    def test_negative_zero_gradient_stays_negative_zero_in_the_plain_group(self):
+        decayed, plain = Tensor([1.0], requires_grad=True), Tensor([1.0], requires_grad=True)
+        opt = SGD([{"params": [decayed], "weight_decay": 0.1}, {"params": [plain]}], momentum=0.0)
+        for grad in (-1.0, -0.0):  # the first step leaves a negative velocity
+            decayed.grad, plain.grad = np.array([grad]), np.array([grad])
+            opt.step(1.0)
+        assert opt.velocity[id(plain)].tobytes() == np.array([-0.0]).tobytes()
+        assert opt.velocity[id(decayed)].tobytes() != np.array([-0.0]).tobytes()
+
+    def test_parameters_built_before_the_optimizer_are_updated_in_place(self):
+        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        opt = SGD([{"params": [w, b], "lr_mult": 0.5}], momentum=0.9)
+        views = w.values, b.values
+        assert w.values.shape == (2, 3) and np.shares_memory(w.values.base, b.values)
+        for _ in range(3):
+            w.grad, b.grad = np.full((2, 3), 0.25), np.full(3, -1.0)
+            expect = [p.values - 0.5 * (0.9 * v + p.grad)
+                      for p, v in ((w, opt.velocity[id(w)]), (b, opt.velocity[id(b)]))]
+            opt.step(1.0)
+            assert w.values is views[0] and b.values is views[1]
+            assert w.values.tobytes() == expect[0].tobytes()
+            assert b.values.tobytes() == expect[1].tobytes()
+
+
+class _PerParameterSGD:
+    """Momentum SGD one parameter at a time, each update a new array."""
+
+    def __init__(self, groups, momentum):
+        self.groups, self.momentum = groups, momentum
+        self.velocity = {id(p): np.zeros_like(p.values) for g in groups for p in g["params"]}
+
+    def step(self, lr):
+        for g in self.groups:
+            eff_lr, wd = lr * g.get("lr_mult", 1.0), g.get("weight_decay", 0.0)
+            for p in g["params"]:
+                if p.grad is None:
+                    continue
+                v = self.velocity[id(p)]
+                grad = p.grad + wd * p.values if wd else p.grad
+                v *= self.momentum
+                v += grad
+                p.values = p.values - eff_lr * v
+
+
+def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr, mode, mixup,
+               mix_tag, targets, metrics):
+    """The loop of ``trainer._fit`` on the tape: Backbone.forward, ``@`` or the
+    head node, the taped losses and backward, and per-parameter SGD. It builds
+    its losses from ``cfg`` and ignores ``targets``."""
+    k = ds.num_classes
+    if stage == 1 or cfg.stage2_loss == "ce":
+        loss_of = lambda y, z: ce_loss(y, z)
+    elif cfg.stage2_loss == "weighted":
+        weights = effective_number_weights(ds.class_counts)
+        loss_of = lambda y, z: weighted_ce_loss(weights, y, z)
+    else:
+        sched = SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1,
+                                              cfg.eps_k, cfg.las_p)
+        loss_of = lambda y, z: soft_ce_loss(las_target_matrix(sched, y, k), z)
+    opt = _PerParameterSGD(opt.groups, cfg.momentum)
+    mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
+    mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
+    steps = cfg.batches_per_epoch or math.ceil(len(ds.labels) / cfg.batch_size)
+    for epoch in range(epochs):
+        lr = lr_at(schedule, epoch, epochs, base_lr)
+        losses = []
+        for _ in range(steps):
+            x, y = sampler.next_batch(cfg.batch_size)
+            if mixup:
+                perm = mix_rng.permutation(len(x))
+                x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, k,
+                                   lam=cfg.mixup_force_lam)
+            feats = model.backbone.forward(x, mode)
+            z = model.head(feats) if model.head is not None else feats @ model.w
+            loss = soft_ce_loss(q, z) if mixup else loss_of(y, z)
+            losses.append(loss.values.item())
+            for g in opt.groups:
+                for p in g["params"]:
+                    p.zero_grad()
+            loss.backward()
+            opt.step(lr)
+        if metrics is not None:
+            ev = evaluate(model, ds)
+            metrics.append({"epoch": epoch, "stage": stage, "lr": lr,
+                            "train_loss": float(np.mean(losses)),
+                            "test_acc": ev["accuracy"], "ece": ev["ece"]})
+    return model
+
+
+CHAIN_CASES = {
+    "default": {},
+    "no-mixup-no-bn-no-hidden-crt-ce-no-shift": dict(
+        mixup_stage1=False, batchnorm=False, hidden=[], head_mode="crt", stage2_loss="ce",
+        shift_bn=False),
+    "batch7-lws-weighted-mixup2-warm-only": dict(
+        batch_size=7, hidden=[8, 4], head_mode="lws", stage2_loss="weighted", mixup_stage2=True,
+        bn_warm_steps=5, bn_concurrent=False),
+    "las-mixup2-concurrent": dict(hidden=[8, 4], mixup_stage1=False, mixup_stage2=True),
+    "crt-weighted-no-shift": dict(hidden=[8, 4], head_mode="crt", stage2_loss="weighted",
+                                  shift_bn=False),
+    "lws-ce-mixup2-warm-and-concurrent": dict(head_mode="lws", stage2_loss="ce",
+                                              mixup_stage2=True, bn_warm_steps=5),
+    "no-bn-generalized-ce-concurrent": dict(batchnorm=False, hidden=[8, 4], stage2_loss="ce"),
+}
+
+
+class TestDirectChain:
+    """The tape-free training chain against a taped reference loop, byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_matches_the_taped_reference(self, ds, case, monkeypatch):
+        cfg = tiny_cfg(**CHAIN_CASES[case])
+        chain = run(cfg, ds)
+        monkeypatch.setattr(trainer, "_fit", _taped_fit)
+        tape = run(cfg, ds)
+        assert _run_bytes(chain) == _run_bytes(tape)
+
+
+def _run_bytes(res) -> dict:
+    """The bytes of a run's curves, final metrics and every state array."""
+    model = res["model"]
+    arrays = {**model.backbone.state_arrays(), "w": model.w.values, **model.head.state_arrays()}
+    out = {f"array {name}": a.tobytes() for name, a in arrays.items()}
+    out["curves"] = np.array([[row[key] for key in sorted(row)] for row in res["curves"]]).tobytes()
+    out.update({f"final {key}": None if v is None else np.float64(v).tobytes()
+                for key, v in res["final"].items()})
+    return out
 
 
 class TestDeterminism:
