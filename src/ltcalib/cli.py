@@ -3,7 +3,9 @@
 Subcommands: gen-data, train, eval, ablate, reliability, weight-norms,
 distributions. Exit codes: 0 success, 1 usage/config error, 2 I/O error,
 3 training divergence, 4 checkpoint/data shape mismatch. A malformed dataset
-or checkpoint file is an I/O error.
+or checkpoint file is an I/O error, as is a dataset without the test split
+that train, ablate and the scoring commands need (weight-norms reads the
+sidecar alone).
 """
 
 from __future__ import annotations
@@ -130,12 +132,14 @@ def _load_config_and_dataset(args) -> tuple[TrainConfig, data_mod.LongTailedData
     return cfg, ds
 
 
-def _load_model_for(ds, checkpoint):
+def _load_model_for(sidecar: dict, checkpoint):
+    """The checkpoint's model, checked against the dataset sidecar's width and class count."""
     model = trainer_mod.load_model(checkpoint)
-    if model.backbone.cfg.in_dim != ds.dim:
-        raise ShapeMismatch(f"checkpoint expects {model.backbone.cfg.in_dim}-dim features, dataset has {ds.dim}")
-    if model.w.values.shape[1] != ds.num_classes:
-        raise ShapeMismatch(f"checkpoint has {model.w.values.shape[1]} classes, dataset has {ds.num_classes}")
+    dim, k = sidecar["dim"], len(sidecar["class_counts"])
+    if model.backbone.cfg.in_dim != dim:
+        raise ShapeMismatch(f"checkpoint expects {model.backbone.cfg.in_dim}-dim features, dataset has {dim}")
+    if model.w.values.shape[1] != k:
+        raise ShapeMismatch(f"checkpoint has {model.w.values.shape[1]} classes, dataset has {k}")
     return model
 
 
@@ -143,11 +147,12 @@ class ShapeMismatch(Exception):
     pass
 
 
-def _scored(args) -> tuple[data_mod.LongTailedDataset, PredictionLog]:
-    """The dataset and the checkpoint's prediction log on its test split."""
-    ds = data_mod.load_dataset(args.data)
-    model = _load_model_for(ds, args.checkpoint)
-    return ds, PredictionLog.from_probs(model.predict_probs(ds.test_features), ds.test_labels)
+def _scored(args) -> tuple[dict, PredictionLog]:
+    """The dataset sidecar and the checkpoint's prediction log on the test split;
+    the training CSV is not read."""
+    sidecar, features, labels = data_mod.load_test_split(args.data)
+    model = _load_model_for(sidecar, args.checkpoint)
+    return sidecar, PredictionLog.from_probs(model.predict_probs(features), labels)
 
 
 def cmd_gen_data(args) -> int:
@@ -200,9 +205,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds, log = _scored(args)
+    sidecar, log = _scored(args)
     report = ece(log, args.bins)
-    accs = split_accuracy(log, ds.splits)
+    accs = split_accuracy(log, sidecar["splits"])
     fmt = lambda v: f"{v:.2f}" if v is not None else "n/a"
     print(f"{'many':>8} {'medium':>8} {'few':>8} {'all':>8} {'ece%':>8}")
     print(f"{fmt(accs['many']):>8} {fmt(accs['medium']):>8} {fmt(accs['few']):>8} "
@@ -222,20 +227,20 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_weight_norms(args) -> int:
-    ds = data_mod.load_dataset(args.data)
-    model = _load_model_for(ds, args.checkpoint)
+    sidecar = data_mod.load_sidecar(args.data)
+    model = _load_model_for(sidecar, args.checkpoint)
     if model.head is None:
         raise UsageError("checkpoint has no trained classifier head")
     out = Path(args.out or (Path(_default_out()) / "weight_norms.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
-    model.head.export_weight_norms(out, ds.class_counts)
+    model.head.export_weight_norms(out, sidecar["class_counts"])
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_distributions(args) -> int:
-    ds, log = _scored(args)
-    dist = probability_distribution(log, ds.splits)
+    sidecar, log = _scored(args)
+    dist = probability_distribution(log, sidecar["splits"])
     out = Path(args.out or (Path(_default_out()) / "distributions.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
     export_distribution_csv(dist, out)

@@ -21,7 +21,9 @@ __all__ = [
     "one_hot",
     "mixup_batch",
     "save_dataset",
+    "load_sidecar",
     "load_dataset",
+    "load_test_split",
     "DatasetFormatError",
 ]
 
@@ -236,14 +238,13 @@ class DatasetFormatError(FormatError):
 def _write_feature_csv(fh, features: np.ndarray, labels: np.ndarray):
     """Header plus one ``repr(float)`` field per feature and the integer label,
     CRLF-terminated: the bytes ``csv.writer`` writes for those fields."""
-    fh.write(",".join([f"feat_{i}" for i in range(features.shape[1])] + ["label"]) + "\r\n")
+    m = features.shape[1]
+    fh.write(",".join([f"feat_{i}" for i in range(m)] + ["label"]) + "\r\n")
+    row_format = ",".join(["%r"] * m + ["%d"]) + "\r\n"
     labels = np.asarray(labels, dtype=np.int64)
     for i in range(0, len(features), _CHUNK_ROWS):
-        rows = features[i : i + _CHUNK_ROWS].tolist()
-        for row, lab in zip(rows, labels[i : i + _CHUNK_ROWS].tolist()):
-            row.append(lab)
-        # repr of a list of lists: "[[a, b, 0], [c, d, 1]]", with float repr per field.
-        fh.write(repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
+        rows = zip(features[i : i + _CHUNK_ROWS].tolist(), labels[i : i + _CHUNK_ROWS].tolist())
+        fh.write("".join([row_format % (*row, lab) for row, lab in rows]))
 
 
 def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
@@ -305,7 +306,10 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(features), labels.astype(np.int64)
 
 
-def _read_sidecar(path: Path) -> dict:
+def load_sidecar(prefix: str | Path) -> dict:
+    """The JSON sidecar of the dataset at ``prefix``, with ``class_counts`` as an
+    int64 array; a malformed sidecar raises :class:`DatasetFormatError` naming it."""
+    path = Path(prefix).with_suffix(".json")
     try:
         with open(path) as fh:
             sidecar = json.load(fh)
@@ -316,8 +320,11 @@ def _read_sidecar(path: Path) -> dict:
         raise DatasetFormatError(f"{path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
-    if sidecar["class_counts"].ndim != 1 or len(sidecar["splits"]) != len(sidecar["class_counts"]):
+    counts = sidecar["class_counts"]
+    if counts.ndim != 1 or len(sidecar["splits"]) != len(counts):
         raise DatasetFormatError(f"{path}: class_counts and splits must be lists of equal length")
+    if np.any(counts[:-1] < counts[1:]):
+        raise DatasetFormatError(f"{path}: class_counts must be non-increasing")
     return sidecar
 
 
@@ -333,27 +340,43 @@ def _read_checked_csv(path: Path, dim: int, k: int) -> tuple[np.ndarray, np.ndar
     return features, labels
 
 
+def _test_csv_path(prefix: Path, sidecar: dict) -> Path:
+    """The test CSV the sidecar names; training and scoring both need one."""
+    if not sidecar.get("test_csv"):
+        raise DatasetFormatError(f"{prefix.with_suffix('.json')}: the dataset has no test split")
+    return prefix.parent / sidecar["test_csv"]
+
+
 def load_dataset(prefix: str | Path) -> LongTailedDataset:
-    """Read a dataset written by :func:`save_dataset`; a malformed file raises
-    :class:`DatasetFormatError` naming it."""
+    """Read a dataset written by :func:`save_dataset`, with its test split; a
+    malformed file or a missing test split raises :class:`DatasetFormatError`
+    naming the file."""
     prefix = Path(prefix)
-    sidecar_path = prefix.with_suffix(".json")
-    sidecar = _read_sidecar(sidecar_path)
-    dim, counts = sidecar["dim"], sidecar["class_counts"]
-    features, labels = _read_checked_csv(prefix.with_suffix(".csv"), dim, len(counts))
-    test_features = test_labels = None
-    if sidecar.get("test_csv"):
-        test_features, test_labels = _read_checked_csv(prefix.parent / sidecar["test_csv"],
-                                                       dim, len(counts))
+    sidecar = load_sidecar(prefix)
+    dim, k = sidecar["dim"], len(sidecar["class_counts"])
+    test_path = _test_csv_path(prefix, sidecar)
+    features, labels = _read_checked_csv(prefix.with_suffix(".csv"), dim, k)
+    test_features, test_labels = _read_checked_csv(test_path, dim, k)
     try:
         return LongTailedDataset(
             features=features,
             labels=labels,
-            class_counts=counts,
+            class_counts=sidecar["class_counts"],
             splits=sidecar["splits"],
             seed=sidecar.get("seed"),
             test_features=test_features,
             test_labels=test_labels,
         )
     except ValueError as exc:
-        raise DatasetFormatError(f"{sidecar_path}: {exc}") from None
+        raise DatasetFormatError(f"{prefix.with_suffix('.json')}: {exc}") from None
+
+
+def load_test_split(prefix: str | Path) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The sidecar (as :func:`load_sidecar` returns it) and the test features and
+    labels of the dataset at ``prefix``, with the checks of :func:`load_dataset`
+    on those two files; the training CSV is not read."""
+    prefix = Path(prefix)
+    sidecar = load_sidecar(prefix)
+    features, labels = _read_checked_csv(_test_csv_path(prefix, sidecar), sidecar["dim"],
+                                         len(sidecar["class_counts"]))
+    return sidecar, features, labels

@@ -187,14 +187,18 @@ class TrainConfig:
             raise ValueError("stage2_epochs: must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size: must be >= 1")
+        if self.batch_size < 2 and self.batchnorm and self.hidden:
+            raise ValueError("batch_size: must be >= 2 when batchnorm is on and hidden is non-empty")
         if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
             raise ValueError("batches_per_epoch: must be >= 1 or null")
         for name in ("stage1_schedule", "stage2_schedule"):
             if getattr(self, name).get("kind") not in SCHEDULE_KINDS:
                 raise ValueError(f"{name}.kind: must be one of {SCHEDULE_KINDS}")
-        ms = self.stage1_schedule.get("milestones", [])
-        if any(b <= a for a, b in zip(ms, ms[1:])) or any(m >= self.stage1_epochs for m in ms):
-            raise ValueError("stage1_schedule.milestones: must be strictly increasing and < stage1_epochs")
+        for stage, epochs in ((1, self.stage1_epochs), (2, self.stage2_epochs)):
+            ms = getattr(self, f"stage{stage}_schedule").get("milestones", [])
+            if any(b <= a for a, b in zip(ms, ms[1:])) or any(m >= epochs for m in ms):
+                raise ValueError(f"stage{stage}_schedule.milestones: must be strictly increasing "
+                                 f"and < stage{stage}_epochs")
         if not (0.0 <= self.eps_k <= self.eps1 <= 0.5):
             raise ValueError("eps1/eps_k: require 0 <= eps_K <= eps_1 <= 0.5")
         if self.head_mode not in HEAD_MODES:

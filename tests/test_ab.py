@@ -1,0 +1,72 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+SPEC = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                       {"name": "acc_pct", "better": "higher", "bound": 0.25}]}
+
+
+def _pairs(parent, change, metric):
+    return [{"parent": {metric: p}, "change": {metric: c}} for p, c in zip(parent, change)]
+
+
+class TestSummarize:
+    def test_quartiles_wins_and_resolution_for_a_lower_is_better_metric(self):
+        parent = [2.0, 2.2, 2.1, 2.4, 2.3]
+        change = [1.5, 1.6, 2.1, 1.4, 2.5]
+        s = ab.summarize(_pairs(parent, change, "score-csv.run_s"), SPEC)["score-csv.run_s"]
+        assert s["parent"] == {"median": 2.2, "q1": 2.1, "q3": 2.3}
+        assert s["change"]["median"] == 1.6
+        assert (s["change_wins"], s["parent_wins"], s["ties"]) == (3, 1, 1)
+        assert s["median_gap"] == pytest.approx(-0.6)
+        assert s["median_gap_rel"] == pytest.approx(-0.6 / 2.2)
+        assert s["parent_iqr"] == pytest.approx(0.2)
+        assert s["resolved"] and s["bound"] == 0.25
+
+    def test_higher_is_better_metric_counts_wins_the_other_way(self):
+        s = ab.summarize(_pairs([50.0, 51.0], [52.0, 49.0], "grid-c10.acc_pct"), SPEC)
+        assert (s["grid-c10.acc_pct"]["change_wins"], s["grid-c10.acc_pct"]["parent_wins"]) == (1, 1)
+
+    def test_gap_inside_the_parent_iqr_is_unresolved(self):
+        s = ab.summarize(_pairs([1.0, 2.0, 3.0], [1.9, 2.1, 2.9], "x.run_s"), SPEC)["x.run_s"]
+        assert not s["resolved"]
+
+    def test_one_pair_and_undeclared_metrics(self):
+        pairs = [{"parent": {"x.run_s": 2.0, "x.other": 1.0}, "change": {"x.run_s": 1.0, "x.other": 1.0}}]
+        s = ab.summarize(pairs, SPEC)
+        assert list(s) == ["x.run_s"]
+        assert s["x.run_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+        assert s["x.run_s"]["resolved"]
+
+
+def test_diff_trees_lists_changed_and_one_sided_files(tmp_path):
+    for side, files in {"a": {"same": b"1", "sub/changed": b"x", "only_a": b""},
+                        "b": {"same": b"1", "sub/changed": b"y", "only_b": b""}}.items():
+        for name, content in files.items():
+            path = tmp_path / side / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+    assert ab.diff_trees(tmp_path / "a", tmp_path / "b") == (4, ["only_a", "only_b", "sub/changed"])
+
+
+def test_run_pair_runs_the_named_side_first_and_keeps_each_sides_result(monkeypatch):
+    calls = []
+
+    def fake_bench(tree, seed, seconds, trace):
+        calls.append((tree, seed, seconds, trace))
+        return {"env": {"seed": seed}, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"w.run_s": 1.0 if tree == "p" else 0.5}}
+
+    monkeypatch.setattr(ab, "bench", fake_bench)
+    pair, env = ab.run_pair({"parent": "p", "change": "c"}, 4, 35, "change")
+    assert calls == [("c", 4, 35, 0), ("p", 4, 35, 0)]
+    assert pair == {"seed": 4, "first": "change", "parent": {"w.run_s": 1.0}, "change": {"w.run_s": 0.5},
+                    "parent_attempted": 3, "parent_correct": True, "parent_failed": 0,
+                    "change_attempted": 3, "change_correct": True, "change_failed": 0}
+    assert env == {"seed": 4}

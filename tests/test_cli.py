@@ -123,9 +123,12 @@ class TestTrain:
     @pytest.mark.parametrize("patch", [{"batch_size": 0}, {"batches_per_epoch": 0},
                                        {"stage1_schedule": {"kind": "poly"}},
                                        {"stage2_schedule": {"kind": "bogus"}},
-                                       {"las_kind": "nope"}],
+                                       {"las_kind": "nope"},
+                                       {"batch_size": 1},
+                                       {"stage2_schedule": {"kind": "multistep", "milestones": [5, 1]}}],
                              ids=["batch_size", "batches_per_epoch", "stage1_schedule",
-                                  "stage2_schedule", "las_kind"])
+                                  "stage2_schedule", "las_kind", "batch_size_one_with_batchnorm",
+                                  "stage2_milestones_decreasing"])
     def test_out_of_range_value_exits_usage_before_reading_data(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **patch)))
@@ -251,7 +254,6 @@ def _edit_sidecar(path, **changes):
 MALFORMED = {
     "header_only_test_csv": (".test.csv", lambda lines: lines[:1]),
     "nan_feature": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], 1, "nan"), *lines[2:]]),
-    "inf_feature_in_train_csv": (".csv", lambda lines: [lines[0], _set_field(lines[1], 0, "inf"), *lines[2:]]),
     "ragged_row": (".test.csv", lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]]),
     "non_numeric_field": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], 0, "abc"), *lines[2:]]),
     "fractional_label": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "1.5"), *lines[2:]]),
@@ -260,6 +262,11 @@ MALFORMED = {
     "test_width_differs_from_train": (
         ".test.csv", lambda lines: ["feat_0,feat_1,feat_2,feat_3,label"]
         + [row.replace(",", ",0.5,", 1) for row in lines[1:]]),
+}
+
+# The same for the training CSV, which only train and ablate read.
+MALFORMED_TRAIN_CSV = {
+    "inf_feature_in_train_csv": (".csv", lambda lines: [lines[0], _set_field(lines[1], 0, "inf"), *lines[2:]]),
     "not_a_dataset_csv": (".csv", lambda lines: ["a,b", "1,2"]),
 }
 
@@ -276,8 +283,21 @@ class TestMalformedDataset:
         assert code == EXIT_IO
         assert err.startswith(f"i/o error: {prefix}") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("changes", [{"dim": 4}, {"class_counts": [60, 6]}, None],
-                             ids=["dim_differs_from_csvs", "fewer_counts_than_splits", "not_json"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRAIN_CSV))
+    def test_malformed_train_csv_exits_io_with_one_line(self, workspace, tmp_path, capsys, case):
+        prefix = _copy_dataset(workspace, tmp_path)
+        suffix, edit = MALFORMED_TRAIN_CSV[case]
+        _edit_lines(Path(str(prefix) + suffix), edit)
+        code = main(["train", "--config", str(workspace / "config.json"),
+                     "--data", str(prefix), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"i/o error: {prefix}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("changes", [{"dim": 4}, {"class_counts": [60, 6]}, None,
+                                         {"class_counts": [6, 19, 60]}],
+                             ids=["dim_differs_from_csvs", "fewer_counts_than_splits", "not_json",
+                                  "increasing_class_counts"])
     def test_malformed_sidecar_exits_io(self, workspace, tmp_path, capsys, changes):
         prefix = _copy_dataset(workspace, tmp_path)
         if changes is None:
@@ -307,6 +327,56 @@ class TestMalformedDataset:
         _edit_lines(prefix.with_suffix(".test.csv"), lambda lines: [*lines, "", ""])
         assert main([*args, "--data", str(prefix)]) == EXIT_OK
         assert capsys.readouterr().out == expected
+
+
+def _command_argv(command, workspace, prefix, out):
+    """argv for ``command`` on the dataset at ``prefix``: train and ablate with the
+    workspace config, the scoring commands with the workspace checkpoint."""
+    if command in ("train", "ablate"):
+        return [command, "--config", str(workspace / "config.json"), "--data", str(prefix),
+                "--out", str(out)]
+    argv = [command, "--checkpoint", str(workspace / "run" / "model"), "--data", str(prefix)]
+    return argv if command == "eval" else [*argv, "--out", str(out)]
+
+
+def _score(command, workspace, prefix, out, capsys) -> bytes:
+    """A scoring command's output: the table eval prints, or the file the others write."""
+    assert main(_command_argv(command, workspace, prefix, out)) == EXIT_OK
+    stdout = capsys.readouterr().out
+    return stdout.encode() if command == "eval" else out.read_bytes()
+
+
+class TestNoTestSplit:
+    @pytest.mark.parametrize("command", ["train", "ablate", "eval", "reliability", "distributions"])
+    def test_command_needing_the_test_split_exits_io(self, workspace, tmp_path, capsys, command):
+        prefix = _copy_dataset(workspace, tmp_path)
+        _edit_sidecar(prefix.with_suffix(".json"), test_csv=None)
+        code = main(_command_argv(command, workspace, prefix, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"i/o error: {prefix}.json") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_weight_norms_needs_no_test_split(self, workspace, tmp_path, capsys):
+        prefix = _copy_dataset(workspace, tmp_path)
+        expected = _score("weight-norms", workspace, prefix, tmp_path / "before.csv", capsys)
+        _edit_sidecar(prefix.with_suffix(".json"), test_csv=None)
+        assert _score("weight-norms", workspace, prefix, tmp_path / "after.csv", capsys) == expected
+
+
+class TestScoringReads:
+    def test_output_is_the_same_without_the_files_a_command_does_not_read(self, workspace, tmp_path,
+                                                                           capsys):
+        prefix = _copy_dataset(workspace, tmp_path)
+        commands = ["eval", "reliability", "distributions", "weight-norms"]
+        expected = {c: _score(c, workspace, prefix, tmp_path / f"{c}.full", capsys) for c in commands}
+        prefix.with_suffix(".csv").unlink()
+        for command in commands:
+            assert _score(command, workspace, prefix, tmp_path / f"{command}.no_train",
+                          capsys) == expected[command], command
+        Path(f"{prefix}.test.csv").unlink()
+        assert _score("weight-norms", workspace, prefix, tmp_path / "weight-norms.sidecar_only",
+                      capsys) == expected["weight-norms"]
 
 
 def _edit_manifest(path, edit):

@@ -100,6 +100,11 @@ class TestConfig:
             {"stage2_schedule": {"kind": "bogus"}},
             {"stage2_schedule": {"milestones": [1]}},
             {"las_kind": "nope"},
+            {"batch_size": 1},
+            {"batch_size": 1, "hidden": [4]},
+            {"stage2_schedule": {"kind": "multistep", "milestones": [5, 1]}},
+            {"stage2_schedule": {"kind": "multistep", "milestones": [3, 3]}},
+            {"stage2_epochs": 4, "stage2_schedule": {"kind": "multistep", "milestones": [4]}},
         ],
     )
     def test_invalid_values_rejected(self, patch):
@@ -120,6 +125,16 @@ class TestConfig:
     def test_non_numeric_values_rejected(self, patch):
         with pytest.raises(ValueError, match=next(iter(patch))):
             TrainConfig(**patch)
+
+    @pytest.mark.parametrize("patch", [{"batch_size": 1, "batchnorm": False},
+                                       {"batch_size": 1, "hidden": []}])
+    def test_batch_of_one_accepted_without_batchnorm(self, patch):
+        TrainConfig(**patch)
+
+    def test_stage2_milestones_checked_against_stage2_epochs(self):
+        TrainConfig(stage2_epochs=4, stage2_schedule={"kind": "multistep", "milestones": [1, 3]})
+        with pytest.raises(ValueError, match="^stage2_schedule.milestones: .*stage2_epochs"):
+            TrainConfig(stage2_epochs=4, stage2_schedule={"kind": "multistep", "milestones": [1, 4]})
 
     def test_optional_numeric_fields_accept_none_and_numbers(self):
         TrainConfig(mixup_force_lam=None, batches_per_epoch=None)
