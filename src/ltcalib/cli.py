@@ -107,7 +107,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--checkpoint", required=True, help="checkpoint path prefix")
         p.add_argument("--data", required=True, help="dataset path prefix")
-        p.add_argument("--bins", type=int, default=15)
+        if name in ("eval", "reliability"):
+            p.add_argument("--bins", type=int, default=15)
         if name != "eval":
             p.add_argument("--out", default=None)
 
@@ -263,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "bins", 1) < 1:
+            raise UsageError(f"argument --bins: must be an integer >= 1, got {args.bins}")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

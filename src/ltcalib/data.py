@@ -112,8 +112,8 @@ def gen_gaussian_blobs(
     counts = np.asarray(counts, dtype=np.int64)
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    if not (np.isfinite(spread) and spread > 0):
+        raise ValueError(f"spread must be a finite number > 0, got {spread!r}")
     if test_per_class < 1:
         raise ValueError("test_per_class must be >= 1")
     k = len(counts)

@@ -10,11 +10,10 @@ label-aware smoothing, plain CE, or per-class weighted CE.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import types
-import typing
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 from pathlib import Path
@@ -145,6 +144,60 @@ class SGD:
         values -= lr * velocity
 
 
+def _number(rule: str, in_range: Callable, integer: bool = False, null: bool = False):
+    """A row for a finite number (an integer, or also null, if asked) in range; bools are not numbers."""
+    return (f"{'null or ' * null}{'an integer' if integer else 'a finite number'} {rule}",
+            lambda v: (null and v is None) or (
+                isinstance(v, Integral if integer else Real) and not isinstance(v, bool)
+                and (integer or abs(v) <= sys.float_info.max) and in_range(v)))
+
+
+def _one_of(choices: tuple):
+    return f"one of {choices}", lambda v: isinstance(v, str) and v in choices
+
+
+_POSITIVE = _number("> 0", lambda v: v > 0)
+_COUNT = _number(">= 0", lambda v: v >= 0, integer=True)
+_AT_LEAST_ONE = _number(">= 1", lambda v: v >= 1, integer=True)
+_BOOL = ("a JSON boolean", lambda v: isinstance(v, bool))
+_SCHEDULE = (f"an object with 'kind' in {SCHEDULE_KINDS}, optional 'milestones' (integers >= 0) and 'factor' (> 0)",
+             lambda v: isinstance(v, dict) and set(v) <= {"kind", "milestones", "factor"}
+             and v.get("kind") in SCHEDULE_KINDS and isinstance(v.get("milestones", []), list)
+             and all(map(_COUNT[1], v.get("milestones", []))) and _POSITIVE[1](v.get("factor", 0.1)))
+
+# Every TrainConfig field -> (rule, check), walked by TrainConfig.validate.
+FIELD_RULES: dict[str, tuple[str, Callable]] = {
+    "lr": _POSITIVE,
+    "batch_size": _AT_LEAST_ONE,
+    "weight_decay": _number(">= 0", lambda v: v >= 0),
+    "momentum": _number("in [0, 1)", lambda v: 0 <= v < 1),
+    "stage1_epochs": _AT_LEAST_ONE,
+    "stage1_schedule": _SCHEDULE,
+    "stage2_epochs": _COUNT,
+    "stage2_schedule": _SCHEDULE,
+    "stage2_lr_scale": _POSITIVE,
+    "hidden": ("a list of integers >= 1", lambda v: isinstance(v, list) and all(map(_AT_LEAST_ONE[1], v))),
+    "batchnorm": _BOOL,
+    "bn_momentum": _number("in (0, 1]", lambda v: 0 < v <= 1),  # as net.BatchNorm requires
+    "mixup_alpha": _POSITIVE,
+    "mixup_stage1": _BOOL,
+    "mixup_stage2": _BOOL,
+    "mixup_force_lam": _number("in [0, 1]", lambda v: 0 <= v <= 1, null=True),
+    "shift_bn": _BOOL,
+    "stage2_loss": _one_of(("las", "ce", "weighted")),
+    "las_kind": _one_of(RELATED_FN_KINDS),
+    "eps1": _number("in [0, 0.5]", lambda v: 0 <= v <= 0.5),
+    "eps_k": _number("in [0, 0.5]", lambda v: 0 <= v <= 0.5),
+    "las_p": _POSITIVE,
+    "head_mode": _one_of(HEAD_MODES),
+    "lr_ratio_dw": _number(">= 0", lambda v: v >= 0),
+    "batches_per_epoch": _number(">= 1", lambda v: v >= 1, integer=True, null=True),
+    "bn_warm_steps": _COUNT,
+    "bn_concurrent": _BOOL,
+    "seed": _COUNT,
+}
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.1
@@ -164,12 +217,12 @@ class TrainConfig:
     mixup_stage2: bool = False
     mixup_force_lam: float | None = None  # test hook: pin the Beta draw
     shift_bn: bool = True
-    stage2_loss: str = "las"  # las | ce | weighted
+    stage2_loss: str = "las"
     las_kind: str = "concave"
     eps1: float = 0.4
     eps_k: float = 0.1
     las_p: float = 2.0
-    head_mode: str = "generalized"  # crt | lws | generalized
+    head_mode: str = "generalized"
     lr_ratio_dw: float = 0.2
     batches_per_epoch: int | None = None  # default: ceil(N_total / batch_size)
     bn_warm_steps: int = 0  # optional stats-only pass before Stage-2 training
@@ -180,65 +233,29 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
-        self._validate_types()
-        if self.stage1_epochs < 1:
-            raise ValueError("stage1_epochs: must be >= 1")
-        if self.stage2_epochs < 0:
-            raise ValueError("stage2_epochs: must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size: must be >= 1")
-        if self.batch_size < 2 and self.batchnorm and self.hidden:
-            raise ValueError("batch_size: must be >= 2 when batchnorm is on and hidden is non-empty")
-        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
-            raise ValueError("batches_per_epoch: must be >= 1 or null")
-        for name in ("stage1_schedule", "stage2_schedule"):
-            if getattr(self, name).get("kind") not in SCHEDULE_KINDS:
-                raise ValueError(f"{name}.kind: must be one of {SCHEDULE_KINDS}")
+        """Check every field against FIELD_RULES, then the rules that join fields;
+        each failure is ``ValueError("<field>: must be <rule>, got <value>")``."""
+        for name, (rule, ok) in FIELD_RULES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         for stage, epochs in ((1, self.stage1_epochs), (2, self.stage2_epochs)):
             ms = getattr(self, f"stage{stage}_schedule").get("milestones", [])
             if any(b <= a for a, b in zip(ms, ms[1:])) or any(m >= epochs for m in ms):
                 raise ValueError(f"stage{stage}_schedule.milestones: must be strictly increasing "
-                                 f"and < stage{stage}_epochs")
-        if not (0.0 <= self.eps_k <= self.eps1 <= 0.5):
-            raise ValueError("eps1/eps_k: require 0 <= eps_K <= eps_1 <= 0.5")
-        if self.head_mode not in HEAD_MODES:
-            raise ValueError(f"head_mode: unknown mode {self.head_mode!r}")
-        if self.stage2_loss not in ("las", "ce", "weighted"):
-            raise ValueError(f"stage2_loss: unknown loss {self.stage2_loss!r}")
-        if self.las_kind not in RELATED_FN_KINDS:
-            raise ValueError(f"las_kind: unknown related function {self.las_kind!r}")
-        if self.mixup_alpha <= 0:
-            raise ValueError("mixup_alpha: must be positive")
-
-    def _validate_types(self):
-        """Numeric fields must hold numbers, so a bad value fails here and not mid-run."""
-        for name, (kind, optional) in _numeric_fields().items():
-            value = getattr(self, name)
-            if not (optional and value is None) and not _is_number(value, integer=kind is int):
-                what = "an integer" if kind is int else "a finite number"
-                raise ValueError(f"{name}: must be {what}, got {value!r}")
-        if not isinstance(self.hidden, (list, tuple)) or not all(
-            _is_number(w, integer=True) for w in self.hidden
-        ):
-            raise ValueError(f"hidden: must be a list of integers, got {self.hidden!r}")
-        for name in ("stage1_schedule", "stage2_schedule"):
-            sched = getattr(self, name)
-            if not isinstance(sched, dict):
-                raise ValueError(f"{name}: must be an object, got {sched!r}")
-            ms = sched.get("milestones", [])
-            if not isinstance(ms, list) or not all(_is_number(m, integer=True) for m in ms):
-                raise ValueError(f"{name}.milestones: must be a list of integers, got {ms!r}")
-            if not _is_number(sched.get("factor", 0.1), integer=False):
-                raise ValueError(f"{name}.factor: must be a finite number, got {sched['factor']!r}")
+                                 f"and < stage{stage}_epochs ({epochs}), got {ms!r}")
+        if self.eps_k > self.eps1:
+            raise ValueError(f"eps_k: must be <= eps1 ({self.eps1!r}), got {self.eps_k!r}")
+        if self.batch_size < 2 and self.batchnorm and self.hidden:
+            raise ValueError(f"batch_size: must be >= 2 with batchnorm and hidden layers, got {self.batch_size!r}")
 
     def to_json(self, path: str | Path):
         write_json(path, asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
+        if not isinstance(d, dict):
+            raise ValueError(f"config: must be a JSON object, got {d!r}")
+        if unknown := set(d) - set(cls.__dataclass_fields__):
             raise ValueError(f"{sorted(unknown)[0]}: unknown config key")
         return cls(**d)
 
@@ -246,26 +263,6 @@ class TrainConfig:
     def from_json(cls, path: str | Path) -> "TrainConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@functools.cache
-def _numeric_fields() -> dict[str, tuple[type, bool]]:
-    """TrainConfig's int and float fields: name -> (int or float, whether None is allowed)."""
-    out = {}
-    for name, hint in typing.get_type_hints(TrainConfig).items():
-        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-        args = typing.get_args(hint) if union else (hint,)
-        kind = next((a for a in args if a in (int, float)), None)
-        if kind is not None:
-            out[name] = (kind, type(None) in args)
-    return out
-
-
-def _is_number(value, integer: bool) -> bool:
-    """True for a finite real (an integer when ``integer``); bools are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
-        return False
-    return integer or math.isfinite(value)
 
 
 class Model:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ltcalib.cli import EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, PRESETS, main
+from ltcalib.trainer import TrainConfig
 
 TINY_CONFIG = {
     "stage1_epochs": 3,
@@ -15,6 +20,20 @@ TINY_CONFIG = {
     "batches_per_epoch": 4,
     "seed": 1,
 }
+
+# Any JSON value, NaN and the infinities included (json.dumps writes them as
+# NaN/Infinity and json.load reads them back), weighted towards small numbers,
+# the config's choice strings and schedule keys so that many draws are valid.
+WORDS = st.sampled_from(["las", "ce", "weighted", "crt", "lws", "generalized", "concave",
+                         "exponential", "multistep", "cosine", "kind", "milestones", "factor"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats(-0.5, 1.5)
+                | st.floats() | WORDS | st.text(max_size=8))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(WORDS | st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +82,14 @@ class TestGenData:
         code = main(["gen-data", "--classes", "3", "--nmax", "10", "--nmin", "2",
                      "--dim", "3", "--test-per-class", "0", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_is_usage_error_and_writes_nothing(self, tmp_path, capsys, spread):
+        code = main(["gen-data", "--classes", "3", "--nmax", "10", "--nmin", "2",
+                     "--dim", "3", "--spread", spread, "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert "spread" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_profile_is_usage_error(self, tmp_path, capsys):
@@ -125,10 +152,21 @@ class TestTrain:
                                        {"stage2_schedule": {"kind": "bogus"}},
                                        {"las_kind": "nope"},
                                        {"batch_size": 1},
-                                       {"stage2_schedule": {"kind": "multistep", "milestones": [5, 1]}}],
+                                       {"stage2_schedule": {"kind": "multistep", "milestones": [5, 1]}},
+                                       {"lr": -1}, {"hidden": [0]}, {"momentum": 5},
+                                       {"weight_decay": -1}, {"stage2_lr_scale": -1},
+                                       {"mixup_force_lam": 3}, {"bn_warm_steps": -5},
+                                       {"lr_ratio_dw": -1}, {"seed": -1}, {"bn_momentum": 0},
+                                       {"las_p": -1, "las_kind": "exponential"},
+                                       {"batchnorm": "false"},
+                                       {"stage1_schedule": {"kind": "multistep", "milestones": [2],
+                                                            "decay": 0.1}}],
                              ids=["batch_size", "batches_per_epoch", "stage1_schedule",
                                   "stage2_schedule", "las_kind", "batch_size_one_with_batchnorm",
-                                  "stage2_milestones_decreasing"])
+                                  "stage2_milestones_decreasing", "lr", "hidden", "momentum",
+                                  "weight_decay", "stage2_lr_scale", "mixup_force_lam",
+                                  "bn_warm_steps", "lr_ratio_dw", "seed", "bn_momentum", "las_p",
+                                  "batchnorm_string", "schedule_unknown_key"])
     def test_out_of_range_value_exits_usage_before_reading_data(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **patch)))
@@ -140,6 +178,42 @@ class TestTrain:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert next(iter(patch)) in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["null", "3", '"abc"', "[1]"])
+    def test_non_object_config_exits_usage_before_reading_data(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        code = main(["train", "--config", str(cfg_path),
+                     "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"config error: config: must be a JSON object, got {json.loads(text)!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @example(name="lr", value=10**400)  # an integer past the float range is not finite
+    @given(name=st.sampled_from(sorted(TrainConfig.__dataclass_fields__)), value=JSON_VALUES)
+    def test_any_json_value_for_any_field_fails_cleanly_before_reading_data(self, name, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config = dict(TINY_CONFIG, **{name: value})
+            (root / "cfg.json").write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["train", "--config", str(root / "cfg.json"),
+                             "--data", str(root / "nowhere"), "--out", str(root / "o")])
+            try:
+                TrainConfig.from_dict(json.loads(json.dumps(config)))
+                valid = True
+            except ValueError:
+                valid = False
+            err = err.getvalue()
+            assert "Traceback" not in err and err.count("\n") == 1, err
+            if valid:
+                assert code == EXIT_IO and err.startswith("i/o error: "), err
+            else:
+                assert code == EXIT_USAGE and err.startswith("config error: ") and name in err, err
+            assert not (root / "o").exists()
 
     def test_requires_config_or_preset(self, workspace, tmp_path):
         assert main(["train", "--data", str(workspace / "blobs"),
@@ -201,6 +275,23 @@ class TestInspection:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("command", ["eval", "reliability"])
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_exits_usage_before_reading_files(self, tmp_path, capsys, command, bins):
+        # Neither file exists, so exit 1 (not 2) shows the check ran first.
+        code = main([command, "--checkpoint", str(tmp_path / "ghost"),
+                     "--data", str(tmp_path / "nowhere"), "--bins", bins])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: argument --bins: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["weight-norms", "distributions"])
+    def test_bins_is_not_an_option_of_commands_without_bins(self, workspace, tmp_path, command):
+        assert main([command, "--checkpoint", str(workspace / "run" / "model"),
+                     "--data", str(workspace / "blobs"), "--bins", "15",
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        assert not (tmp_path / "o.csv").exists()
+
     def test_dimension_mismatch_exits_shape(self, workspace, tmp_path):
         main(["gen-data", "--classes", "3", "--nmax", "30", "--nmin", "6",
               "--dim", "4", "--out", str(tmp_path / "wide")])

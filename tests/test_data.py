@@ -76,6 +76,11 @@ class TestBlobs:
         with pytest.raises(ValueError):
             gen_gaussian_blobs([10, 10], dim=4, spread=0.0, seed=0)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="spread"):
+            gen_gaussian_blobs([10, 10], dim=4, spread=spread, seed=0)
+
 
 class TestSampler:
     def test_class_balanced_marginal(self):

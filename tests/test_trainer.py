@@ -105,11 +105,32 @@ class TestConfig:
             {"stage2_schedule": {"kind": "multistep", "milestones": [5, 1]}},
             {"stage2_schedule": {"kind": "multistep", "milestones": [3, 3]}},
             {"stage2_epochs": 4, "stage2_schedule": {"kind": "multistep", "milestones": [4]}},
+            {"lr": -1},
+            {"hidden": [0]},
+            {"momentum": 5},
+            {"weight_decay": -1},
+            {"stage2_lr_scale": -1},
+            {"mixup_force_lam": 3},
+            {"bn_warm_steps": -5},
+            {"lr_ratio_dw": -1},
+            {"seed": -1},
+            {"bn_momentum": 0},
+            {"las_p": -1, "las_kind": "exponential"},
+            {"batchnorm": "false"},
+            {"stage1_schedule": {"kind": "multistep", "milestones": [2], "decay": 0.1}},
         ],
     )
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ValueError):
             TrainConfig(**patch)
+
+    @pytest.mark.parametrize("patch", [{"momentum": 0}, {"bn_momentum": 1}, {"eps1": 0.5, "eps_k": 0.5},
+                                       {"hidden": []}, {"mixup_force_lam": 0}, {"mixup_force_lam": 1}])
+    def test_boundary_values_accepted(self, patch):
+        TrainConfig(**patch)
+
+    def test_every_field_has_a_rule(self):
+        assert set(trainer.FIELD_RULES) == set(TrainConfig.__dataclass_fields__)
 
     @pytest.mark.parametrize(
         "patch",

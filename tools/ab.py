@@ -11,10 +11,12 @@ exported with ``git archive`` into a temporary directory, so the repository's
 own checkout and ``.git`` are left as they were.
 
 Byte-diff: in each tree, every workload of ``perfbench/workloads.py`` runs its
-set-up and one operation for one seed, and every file they write (gen-data
-files, the ``train-c100`` outputs, ``ablation.json``, the scoring checkpoint
-and outputs) and the ``eval`` stdout is compared byte for byte. Every file that
-differs, or exists in one tree only, is listed.
+set-up and one operation for one seed, then ``train`` runs the five small
+``TRAIN_VARIANTS`` configs on a gen-data set of that seed. Every file they write
+(gen-data files, the ``train-c100`` outputs, ``ablation.json``, the scoring
+checkpoint and outputs, each variant's config and train outputs) and the
+``eval`` stdout is compared byte for byte. Every file that differs, or exists
+in one tree only, is listed.
 
 Timing: ``--pairs N`` runs ``perfbench/run.py --workload all --trace 0``, with
 ``--seconds`` from ``BENCHMARK.json``'s ``run_seconds``, on both trees for seeds 1..N, the base first for odd seeds and the change first
@@ -49,14 +51,28 @@ RUN_TIMEOUT_S = 3 * 600 + 60
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# Run inside each tree: the set-up and one operation of every workload, with
-# that tree's ltcalib and perfbench. argv: tree, output directory, seed.
+# Small train runs of the configs no workload covers: each variant patches
+# TRAIN_BASE and trains on a 10-class gen-data set made for the byte-diff.
+TRAIN_BASE = {"stage1_epochs": 3, "stage1_schedule": {"kind": "multistep", "milestones": [2], "factor": 0.1},
+              "stage2_epochs": 2, "hidden": [16], "batches_per_epoch": 6}
+TRAIN_VARIANTS = {
+    "stage2_epochs_0": {"stage2_epochs": 0},
+    "mixup_stage2_weighted": {"mixup_stage2": True, "stage2_loss": "weighted"},
+    "crt_ce_batch48": {"head_mode": "crt", "stage2_loss": "ce", "batch_size": 48},
+    "lws_no_mixup_stage1": {"head_mode": "lws", "mixup_stage1": False},
+    "bn_warm_30_not_concurrent": {"bn_warm_steps": 30, "bn_concurrent": False},
+}
+
+# Run inside each tree: the set-up and one operation of every workload, then
+# the train variants, with that tree's ltcalib and perfbench.
+# argv: tree, output directory, seed, {variant: config} as JSON.
 ARTIFACTS_CHILD = """
+import json
 import sys
 from pathlib import Path
 tree, out, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
 sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-from workloads import WORKLOADS
+from workloads import WORKLOADS, call_cli
 for name, workload in WORKLOADS.items():
     (out / name / "setup").mkdir(parents=True)
     inputs = workload.setup(out / name / "setup", seed)
@@ -64,6 +80,14 @@ for name, workload in WORKLOADS.items():
     workload.check(inputs, out / name / "op", raw)
     if "eval" in raw:
         (out / name / "eval.stdout").write_text(raw["eval"])
+inputs = out / "train-variants" / "inputs"
+inputs.mkdir(parents=True)
+call_cli(["gen-data", "--classes", "10", "--nmax", "200", "--nmin", "5", "--dim", "8",
+          "--seed", str(seed), "--out", str(inputs / "blobs")])
+for name, config in json.loads(sys.argv[4]).items():
+    (inputs / f"{name}.json").write_text(json.dumps(config))
+    call_cli(["train", "--config", str(inputs / f"{name}.json"), "--data", str(inputs / "blobs"),
+              "--out", str(out / "train-variants" / name)])
 """
 
 
@@ -94,8 +118,9 @@ def child_env() -> dict:
 
 
 def write_artifacts(tree: Path, out: Path, seed: int) -> None:
-    subprocess.run([sys.executable, "-c", ARTIFACTS_CHILD, str(tree), str(out), str(seed)],
-                   cwd=tree, env=child_env(), check=True, timeout=RUN_TIMEOUT_S)
+    variants = {name: dict(TRAIN_BASE, seed=seed, **patch) for name, patch in TRAIN_VARIANTS.items()}
+    subprocess.run([sys.executable, "-c", ARTIFACTS_CHILD, str(tree), str(out), str(seed),
+                    json.dumps(variants)], cwd=tree, env=child_env(), check=True, timeout=RUN_TIMEOUT_S)
 
 
 def diff_trees(a: Path, b: Path) -> tuple[int, list[str]]:
