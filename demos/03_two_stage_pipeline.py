@@ -38,7 +38,7 @@ for name, res in (("one-stage CE", plain), ("two-stage", full)):
 
 # compare per-class classifier norms before and after retraining: the head
 # rescales columns to counter the head-class bias of stage 1
-head = full["model"].head
+head = full["model"].classifier
 eff, raw = head.weight_norms()
 print(f"\n{'class':>5} {'count':>6} {'stage-1 |w|':>12} {'retrained |w|':>14}")
 for j, (c, r, e) in enumerate(zip(ds.class_counts, raw, eff)):

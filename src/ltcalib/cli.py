@@ -29,6 +29,7 @@ from .calib import (
     reliability_bins,
     split_accuracy,
 )
+from .head import GeneralizedHead
 from .losses import SmoothingSchedule
 from .trainer import DivergenceError, TrainConfig
 
@@ -139,8 +140,8 @@ def _load_model_for(sidecar: dict, checkpoint):
     dim, k = sidecar["dim"], len(sidecar["class_counts"])
     if model.backbone.cfg.in_dim != dim:
         raise ShapeMismatch(f"checkpoint expects {model.backbone.cfg.in_dim}-dim features, dataset has {dim}")
-    if model.w.values.shape[1] != k:
-        raise ShapeMismatch(f"checkpoint has {model.w.values.shape[1]} classes, dataset has {k}")
+    if model.classifier.w.shape[1] != k:
+        raise ShapeMismatch(f"checkpoint has {model.classifier.w.shape[1]} classes, dataset has {k}")
     return model
 
 
@@ -230,11 +231,11 @@ def cmd_reliability(args) -> int:
 def cmd_weight_norms(args) -> int:
     sidecar = data_mod.load_sidecar(args.data)
     model = _load_model_for(sidecar, args.checkpoint)
-    if model.head is None:
+    if not isinstance(model.classifier, GeneralizedHead):
         raise UsageError("checkpoint has no trained classifier head")
     out = Path(args.out or (Path(_default_out()) / "weight_norms.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)
-    model.head.export_weight_norms(out, sidecar["class_counts"])
+    model.classifier.export_weight_norms(out, sidecar["class_counts"])
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -285,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a width the config allows but this machine cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
-"""Stage-2 classifier head z = diag(s) (r*W + dW)^T x.
+"""The classifiers: Stage-1 z = W^T x and the Stage-2 head z = diag(s) (r*W + dW)^T x.
 
-W is the frozen Stage-1 classifier weight. The head degenerates to classifier
+Both have the kernel pair ``forward_arrays``/``backward_arrays`` that training
+and scoring run, and a composite taped ``__call__``. In the head, W is the
+frozen Stage-1 classifier weight. The head degenerates to classifier
 re-training (cRT: r=0, s fixed at 1, dW learnable) and to learnable weight
 scaling (LWS: r=1, dW fixed at 0, s learnable); the generalized mode learns
 both s and dW, with a separate learning-rate multiplier for dW.
@@ -13,21 +15,44 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv
-from .tensor import Tensor
+from .tensor import Tensor, linear_backward, linear_forward
 
-__all__ = ["GeneralizedHead"]
+__all__ = ["LinearClassifier", "GeneralizedHead"]
 
 HEAD_MODES = ("crt", "lws", "generalized")
 
 
+class LinearClassifier:
+    """The Stage-1 classifier: logits ``x @ w`` of a learnable (M, K) weight, no bias."""
+
+    def __init__(self, w: np.ndarray):
+        self.w = Tensor(w, requires_grad=True)
+
+    def forward_arrays(self, x: np.ndarray):
+        return linear_forward(x, self.w.values.T)  # x @ w: w.T's transpose is w itself
+
+    def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
+        """Gradients (x, w) of :meth:`forward_arrays`; x's is None unless ``input_grad``."""
+        g_x, g_wt, _ = linear_backward(ctx, g, input_grad)
+        return g_x, g_wt.T  # the array x.T @ g, as the taped matmul gives it
+
+    def __call__(self, x) -> Tensor:
+        return (x if isinstance(x, Tensor) else Tensor(x)) @ self.w
+
+    def params(self) -> list[Tensor]:
+        """The parameters :meth:`backward_arrays` returns gradients of, in its order."""
+        return [self.w]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"classifier.w": self.w.values}
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
+        self.w.values = arrays["classifier.w"].copy()
+
+
 class GeneralizedHead:
-    def __init__(
-        self,
-        w: np.ndarray,
-        mode: str = "generalized",
-        r: float | None = None,
-        lr_ratio_dw: float = 1.0,
-    ):
+    def __init__(self, w: np.ndarray, mode: str = "generalized", r: float | None = None,
+                 lr_ratio_dw: float = 1.0):
         if mode not in HEAD_MODES:
             raise ValueError(f"unknown head mode {mode!r}")
         self.mode = mode
@@ -36,9 +61,8 @@ class GeneralizedHead:
             r = 0.0 if mode == "crt" else 1.0
         self.r = float(r)
         self.lr_ratio_dw = float(lr_ratio_dw)
-        m, k = self.w.shape
-        self.dw = Tensor(np.zeros((m, k)), requires_grad=(mode != "lws"))
-        self.s = Tensor(np.ones(k), requires_grad=(mode != "crt"))
+        self.dw = Tensor(np.zeros_like(self.w), requires_grad=(mode != "lws"))
+        self.s = Tensor(np.ones(self.w.shape[1]), requires_grad=(mode != "crt"))
 
     def forward_arrays(self, x: np.ndarray):
         """Logits ``(x @ (r * W + dW)) * s`` of feature rows on arrays, recording
@@ -58,29 +82,16 @@ class GeneralizedHead:
                 x.T @ g_z if self.dw.requires_grad else None,
                 (g * z).sum(axis=0) if self.s.requires_grad else None)
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """Logits of feature rows as a plain array; the same values as :meth:`forward`."""
-        return self.forward_arrays(x)[0]
-
     def forward(self, x) -> Tensor:
-        """Logits as one tape node; same values and gradients as the composite
-        ``(x @ (Tensor(r * W) + dW)) * s``."""
+        """Logits as the composite ``(x @ (Tensor(r * W) + dW)) * s`` of :meth:`forward_arrays`."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        dw, s = self.dw, self.s
-        out, ctx = self.forward_arrays(x.values)
-
-        def backward(g):
-            g_x, g_dw, g_s = self.backward_arrays(ctx, g, x.requires_grad)
-            if g_s is not None:
-                s._accumulate(g_s)
-            if g_x is not None:
-                x._accumulate(g_x)
-            if g_dw is not None:
-                dw._accumulate(g_dw)
-
-        return Tensor._from_op(out, (x, dw, s), backward)
+        return (x @ (Tensor(self.r * self.w) + self.dw)) * self.s
 
     __call__ = forward
+
+    def params(self) -> list[Tensor]:
+        """The parameters :meth:`backward_arrays` returns gradients of, in its order."""
+        return [self.dw, self.s]
 
     def param_groups(self) -> list[dict]:
         """Learnable groups with LR multipliers; frozen tensors excluded."""
@@ -96,9 +107,7 @@ class GeneralizedHead:
 
     def weight_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-class L2 norms: (effective column norms, raw Stage-1 column norms)."""
-        eff = np.linalg.norm(self.effective_weight(), axis=0)
-        raw = np.linalg.norm(self.w, axis=0)
-        return eff, raw
+        return np.linalg.norm(self.effective_weight(), axis=0), np.linalg.norm(self.w, axis=0)
 
     def export_weight_norms(self, path: str | Path, class_counts):
         eff, raw = self.weight_norms()
@@ -106,16 +115,12 @@ class GeneralizedHead:
                   ([j, int(c), repr(float(e)), repr(float(r))]
                    for j, (c, e, r) in enumerate(zip(class_counts, eff, raw))))
 
-    def state_arrays(self, prefix: str = "head.") -> dict[str, np.ndarray]:
-        return {
-            prefix + "w": self.w,
-            prefix + "dw": self.dw.values,
-            prefix + "s": self.s.values,
-            prefix + "r": np.array([self.r]),
-        }
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"head.w": self.w, "head.dw": self.dw.values, "head.s": self.s.values,
+                "head.r": np.array([self.r])}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "head."):
-        self.w = arrays[prefix + "w"].copy()
-        self.dw.values = arrays[prefix + "dw"].copy()
-        self.s.values = arrays[prefix + "s"].copy()
-        self.r = float(arrays[prefix + "r"][0])
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
+        self.w = arrays["head.w"].copy()
+        self.dw.values = arrays["head.dw"].copy()
+        self.s.values = arrays["head.s"].copy()
+        self.r = float(arrays["head.r"][0])

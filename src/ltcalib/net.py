@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import FormatError, write_atomic, write_json
-from .tensor import Tensor, linear, relu
+from .tensor import Tensor, relu
 
 __all__ = ["Linear", "BatchNorm", "BackboneConfig", "Backbone", "save_checkpoint", "load_checkpoint"]
 
@@ -36,11 +36,11 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
+        """The composite ``x @ W.T + b`` of :func:`~ltcalib.tensor.linear_forward`."""
         if x.values.shape[1] != self.weight.values.shape[1]:
-            raise ValueError(
-                f"linear input width {x.values.shape[1]} != {self.weight.values.shape[1]}"
-            )
-        return linear(x, self.weight, self.bias)
+            raise ValueError(f"linear input width {x.values.shape[1]} != {self.weight.values.shape[1]}")
+        out = x @ self.weight.T
+        return out + self.bias if self.bias is not None else out
 
     def parameters(self) -> list[Tensor]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -72,21 +72,18 @@ class BatchNorm:
         self.mode = TRAIN
 
     def __call__(self, h: Tensor) -> Tensor:
-        """Train mode records one tape node; eval and shift modes record none."""
+        """Train mode records the composite graph of :meth:`train_forward`;
+        eval and shift modes record nothing."""
         if self.mode != TRAIN:
             _check_frozen_input(h, self.mode)
             return Tensor(self.normalize(h.values))
-        out, ctx = self.train_forward(h.values)
-        scale, shift = self.scale, self.shift
-
-        def backward(g):
-            g_h, g_scale, g_shift = self.train_backward(ctx, g, h.requires_grad)
-            shift._accumulate(g_shift)
-            scale._accumulate(g_scale)
-            if g_h is not None:
-                h._accumulate(g_h)
-
-        return Tensor._from_op(out, (h, scale, shift), backward)
+        if h.values.shape[0] < 2:
+            raise ValueError("batch normalization needs batch size >= 2 in training modes")
+        mu = h.mean(axis=0)
+        diff = h - mu
+        var = (diff * diff).mean(axis=0)
+        self._update_running(mu.values, var.values)
+        return self.scale * (diff / (var + self.eps).sqrt()) + self.shift
 
     def train_forward(self, h: np.ndarray):
         """Train mode on arrays: normalize by the batch statistics and fold
@@ -107,14 +104,11 @@ class BatchNorm:
         x_hat = diff / sd
         return self.scale.values * x_hat + self.shift.values, (diff, sd, x_hat, inv_m)
 
-    def train_backward(self, ctx, g: np.ndarray, input_grad: bool = True):
-        """Gradients (input, scale, shift) of :meth:`train_forward`; the input's
-        is None unless ``input_grad``."""
+    def train_backward(self, ctx, g: np.ndarray):
+        """Gradients (input, scale, shift) of :meth:`train_forward`."""
         diff, sd, x_hat, inv_m = ctx
         g_shift = g.sum(axis=0)
         g_scale = (g * x_hat).sum(axis=0)
-        if not input_grad:
-            return None, g_scale, g_shift
         g_xhat = g * self.scale.values
         g_sd = (-g_xhat * diff / sd**2).sum(axis=0)
         g_sq = (g_sd * 0.5 / sd * inv_m) * diff  # through diff * diff, once per factor
@@ -194,9 +188,8 @@ class Backbone:
             _check_frozen_input(x, mode)
             return Tensor(self.frozen_features(x.values if isinstance(x, Tensor) else x, mode))
         self.set_mode(mode)
-        values = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        self._check_width(values)
-        h = x if isinstance(x, Tensor) else Tensor(values)
+        h = x if isinstance(x, Tensor) else Tensor(x)
+        self._check_width(h.values)
         for lin, bn in zip(self.linears, self.norms):
             h = lin(h)
             if bn is not None:
@@ -285,8 +278,8 @@ def _is_count(value) -> bool:
 
 def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays and meta of a checkpoint; a manifest or blob that does not hold
-    one, or a blob whose SHA-256 is not the manifest's, raises
-    :class:`FormatError` naming the file."""
+    one (its entries must tile the blob in order), or a blob whose SHA-256 is
+    not the manifest's, raises :class:`FormatError` naming the file."""
     prefix = Path(path_prefix)
     path = prefix.with_suffix(".json")
     try:
@@ -307,7 +300,7 @@ def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dic
         raise FormatError(f"{bin_path}: SHA-256 differs from the manifest's; "
                           "the blob and the manifest come from different saves")
     blob = np.frombuffer(raw, dtype="<f8")
-    arrays = {}
+    arrays, end = {}, 0
     for entry in manifest["entries"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
@@ -315,9 +308,13 @@ def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dic
             raise FormatError(f"{path}: malformed entry {entry!r}")
         name, shape, offset = entry["name"], entry["shape"], entry["offset"]
         n = math.prod(shape)
-        if offset + n > total:
-            raise FormatError(f"{path}: entry {name!r} reaches past the {total}-value blob")
+        if offset != end or end + n > total:  # save_checkpoint lays entries back to back
+            raise FormatError(f"{path}: entry {name!r} at offset {offset} is not the next {n} "
+                              f"values of the {total}-value blob, which start at {end}")
         if name in arrays:
             raise FormatError(f"{path}: duplicate entry {name!r}")
-        arrays[name] = blob[offset : offset + n].reshape(shape).astype(np.float64)
+        arrays[name] = blob[end : end + n].reshape(shape).astype(np.float64)
+        end += n
+    if end != total:
+        raise FormatError(f"{path}: entries cover {end} of the {total}-value blob")
     return arrays, manifest["meta"]

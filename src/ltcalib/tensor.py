@@ -1,15 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small dynamic-tape engine: each operation records its parents and a closure
-that routes the incoming gradient back to them. The elementwise ops form the
-general autodiff API; ``linear`` and ``softmax_cross_entropy`` are fused
-nodes that record one tape entry for a whole layer or loss. A fused backward
-repeats the arithmetic of the composite graph it replaces in the same order,
-so both give bit-identical gradients.
+that routes the incoming gradient back to them. Layers on the tape are
+composite graphs of the elementwise ops; ``softmax_cross_entropy`` is the one
+fused node, which records a single tape entry for the whole loss.
 
-The arithmetic of these nodes and of ``relu`` is a pair of plain-array
-kernels, ``<op>_forward(...) -> (out, ctx)`` and ``<op>_backward(ctx, g)``.
-The node calls them, and the training loop chains them directly, with no tape.
+Training and scoring run plain-array kernels instead, one pair per op,
+``<op>_forward(...) -> (out, ctx)`` and ``<op>_backward(ctx, g)``, chained
+with no tape. Each kernel repeats the arithmetic of the composite graph in
+the same order, so both give bit-identical values and gradients.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tensor", "matmul", "linear", "linear_forward", "linear_backward", "relu", "relu_forward",
+    "Tensor", "matmul", "linear_forward", "linear_backward", "relu", "relu_forward",
     "relu_backward", "log_softmax", "softmax", "softmax_cross_entropy",
     "softmax_cross_entropy_forward", "softmax_cross_entropy_backward",
 ]
@@ -245,10 +244,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
     """y = x @ w.T + b on arrays, w of shape (out, in); the context is for
     :func:`linear_backward`."""
-    out = x @ w.T
-    if b is not None:
-        out = out + b
-    return out, (x, w, b is not None)
+    return (x @ w.T if b is None else x @ w.T + b), (x, w, b is not None)
 
 
 def linear_backward(ctx, g: np.ndarray, input_grad: bool = True):
@@ -256,24 +252,6 @@ def linear_backward(ctx, g: np.ndarray, input_grad: bool = True):
     ``input_grad``, b's is None for a layer without bias."""
     x, w, has_bias = ctx
     return (g @ w if input_grad else None), (x.T @ g).T, (g.sum(axis=0) if has_bias else None)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w.T + b as one node; w has shape (out, in).
-
-    Same values and gradients as ``x @ w.T + b`` built from matmul, T and add.
-    """
-    out_vals, ctx = linear_forward(x.values, w.values, None if b is None else b.values)
-
-    def backward(g):
-        g_x, g_w, g_b = linear_backward(ctx, g, x.requires_grad)
-        if b is not None:
-            b._accumulate(g_b)
-        if g_x is not None:
-            x._accumulate(g_x)
-        w._accumulate(g_w)
-
-    return Tensor._from_op(out_vals, (x, w) if b is None else (x, w, b), backward)
 
 
 def relu_forward(x: np.ndarray):
@@ -287,12 +265,8 @@ def relu_backward(mask: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def relu(t: Tensor) -> Tensor:
-    out_vals, mask = relu_forward(t.values)
-
-    def backward(g):
-        t._accumulate(relu_backward(mask, g))
-
-    return Tensor._from_op(out_vals, (t,), backward)
+    """max(t, 0) as the composite ``t * (t > 0)`` of :func:`relu_forward`."""
+    return t * Tensor(t.values > 0.0)
 
 
 def _rows(t: Tensor) -> np.ndarray:
@@ -347,6 +321,10 @@ def softmax_cross_entropy_backward(ctx, g=1.0) -> np.ndarray:
 
 def softmax_cross_entropy(q: np.ndarray, t: Tensor) -> Tensor:
     """Mean over rows of -sum_i q_i log softmax(t)_i as one node.
+
+    The loss stays fused although the tape is only a reference: acceptance
+    gates 1, 2 and 4 run it in tight loops, and the composite graph made that
+    suite about 22% slower.
 
     ``q`` is a constant (m, K) target matrix; ``t`` holds logits of the same
     shape (or one 1-D row when m == 1). Same values and gradients as

@@ -24,7 +24,7 @@ from . import net
 from .artifacts import FormatError, write_csv, write_json
 from .calib import PredictionLog, ece, split_accuracy
 from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, one_hot
-from .head import GeneralizedHead, HEAD_MODES
+from .head import GeneralizedHead, HEAD_MODES, LinearClassifier
 # Training builds soft-CE targets and runs the loss kernels directly; the taped
 # losses stay importable from here, where perfbench's tracer looks them up.
 from .losses import (
@@ -145,11 +145,12 @@ class SGD:
 
 
 def _number(rule: str, in_range: Callable, integer: bool = False, null: bool = False):
-    """A row for a finite number (an integer, or also null, if asked) in range; bools are not numbers."""
-    return (f"{'null or ' * null}{'an integer' if integer else 'a finite number'} {rule}",
+    """A row for a finite number (an integer < 2**63, or also null, if asked) in range; bools are not numbers."""
+    return (f"{'null or ' * null}{'an integer' if integer else 'a finite number'} {rule}"
+            + " and < 2**63" * integer,
             lambda v: (null and v is None) or (
                 isinstance(v, Integral if integer else Real) and not isinstance(v, bool)
-                and (integer or abs(v) <= sys.float_info.max) and in_range(v)))
+                and abs(v) <= (2**63 - 1 if integer else sys.float_info.max) and in_range(v)))
 
 
 def _one_of(choices: tuple):
@@ -160,7 +161,7 @@ _POSITIVE = _number("> 0", lambda v: v > 0)
 _COUNT = _number(">= 0", lambda v: v >= 0, integer=True)
 _AT_LEAST_ONE = _number(">= 1", lambda v: v >= 1, integer=True)
 _BOOL = ("a JSON boolean", lambda v: isinstance(v, bool))
-_SCHEDULE = (f"an object with 'kind' in {SCHEDULE_KINDS}, optional 'milestones' (integers >= 0) and 'factor' (> 0)",
+_SCHEDULE = (f"an object with 'kind' in {SCHEDULE_KINDS}, optional 'milestones' (integers in [0, 2**63)) and 'factor' (> 0)",
              lambda v: isinstance(v, dict) and set(v) <= {"kind", "milestones", "factor"}
              and v.get("kind") in SCHEDULE_KINDS and isinstance(v.get("milestones", []), list)
              and all(map(_COUNT[1], v.get("milestones", []))) and _POSITIVE[1](v.get("factor", 0.1)))
@@ -176,7 +177,7 @@ FIELD_RULES: dict[str, tuple[str, Callable]] = {
     "stage2_epochs": _COUNT,
     "stage2_schedule": _SCHEDULE,
     "stage2_lr_scale": _POSITIVE,
-    "hidden": ("a list of integers >= 1", lambda v: isinstance(v, list) and all(map(_AT_LEAST_ONE[1], v))),
+    "hidden": ("a list of integers in [1, 2**63)", lambda v: isinstance(v, list) and all(map(_AT_LEAST_ONE[1], v))),
     "batchnorm": _BOOL,
     "bn_momentum": _number("in (0, 1]", lambda v: 0 < v <= 1),  # as net.BatchNorm requires
     "mixup_alpha": _POSITIVE,
@@ -266,27 +267,24 @@ class TrainConfig:
 
 
 class Model:
-    """Backbone plus classifier; the classifier is either the Stage-1 weight
-    matrix (M, K) or a Stage-2 generalized head."""
+    """Backbone plus classifier: the Stage-1 :class:`LinearClassifier`, or the
+    Stage-2 :class:`GeneralizedHead` built from its weight. The backbone learns
+    in train mode (Stage 1) and runs frozen in shift or eval mode (Stage 2)."""
 
-    def __init__(self, backbone: net.Backbone, w: Tensor, head: GeneralizedHead | None = None):
+    def __init__(self, backbone: net.Backbone, classifier: LinearClassifier | GeneralizedHead):
         self.backbone = backbone
-        self.w = w
-        self.head = head
+        self.classifier = classifier
 
     def logits(self, x, mode: str) -> Tensor:
-        feats = self.backbone.forward(x, mode)
-        if self.head is not None:
-            return self.head(feats)
-        return feats @ self.w
+        return self.classifier(self.backbone.forward(x, mode))
 
-    def train_forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, object]:
+    def train_forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, list]:
         """Logits of a training batch on plain arrays, recording no tape, and the
-        context :meth:`train_backward` needs. Without a head (Stage 1) the
-        backbone runs in train mode and the logits are ``feats @ w``; with one
-        (Stage 2) the backbone runs frozen in ``mode`` and only the head learns."""
-        if self.head is not None:
-            return self.head.forward_arrays(self.backbone.frozen_features(x, mode))
+        context :meth:`train_backward` needs: one entry per backbone kernel that
+        learns (none unless ``mode`` is train), then the classifier's."""
+        if mode != net.TRAIN:
+            z, ctx = self.classifier.forward_arrays(self.backbone.frozen_features(x, mode))
+            return z, [ctx]
         ctxs, h = [], x
         for lin, bn in zip(self.backbone.linears, self.backbone.norms):
             h, ctx = linear_forward(h, lin.weight.values, lin.bias.values)
@@ -296,21 +294,18 @@ class Model:
                 ctxs.append(ctx)
             h, ctx = relu_forward(h)
             ctxs.append(ctx)
-        z, ctx = linear_forward(h, self.w.values.T)  # feats @ w: w.T's transpose is w itself
+        z, ctx = self.classifier.forward_arrays(h)
         ctxs.append(ctx)
         return z, ctxs
 
-    def train_backward(self, ctx, g: np.ndarray):
-        """Set ``.grad`` of every learnable parameter from ``g``, the loss's
-        gradient w.r.t. the logits of :meth:`train_forward`, consuming its
-        context. Both stages' graphs are chains without fan-out, so each
-        parameter gets exactly one gradient."""
-        if self.head is not None:
-            _, self.head.dw.grad, self.head.s.grad = self.head.backward_arrays(ctx, g, False)
-            return
-        layers = list(zip(self.backbone.linears, self.backbone.norms))
-        g, g_wt, _ = linear_backward(ctx.pop(), g, bool(layers))
-        self.w.grad = g_wt.T  # the array feats.T @ g, as the taped matmul gives it
+    def train_backward(self, ctx: list, g: np.ndarray):
+        """Set ``.grad`` of every learnable parameter from ``g``, the loss's gradient
+        w.r.t. the logits of :meth:`train_forward`, consuming its context; the
+        graph is a chain without fan-out, so each parameter gets one gradient."""
+        g, *grads = self.classifier.backward_arrays(ctx.pop(), g, bool(ctx))
+        for p, grad in zip(self.classifier.params(), grads):
+            p.grad = grad
+        layers = list(zip(self.backbone.linears, self.backbone.norms)) if ctx else []
         for i in reversed(range(len(layers))):
             lin, bn = layers[i]
             g = relu_backward(ctx.pop(), g)
@@ -321,8 +316,8 @@ class Model:
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities on plain arrays, recording no tape;
         the same values as ``softmax(self.logits(x, net.EVAL)).values``."""
-        feats = self.backbone.forward(x, net.EVAL).values
-        z = self.head.logits(feats) if self.head is not None else feats @ self.w.values
+        # Only the logits: a context kept here would hold its arrays through the softmax.
+        z = self.classifier.forward_arrays(self.backbone.frozen_features(x, net.EVAL))[0]
         return np.exp(_log_softmax_rows(z))
 
 
@@ -382,13 +377,13 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
     )
     backbone = net.Backbone(bb_cfg)
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
-    w = Tensor(w_rng.standard_normal((bb_cfg.feature_dim, ds.num_classes)) / np.sqrt(bb_cfg.feature_dim),
-               requires_grad=True)
-    decayed = [{"params": [lin.weight for lin in backbone.linears] + [w],
+    classifier = LinearClassifier(w_rng.standard_normal((bb_cfg.feature_dim, ds.num_classes))
+                                  / np.sqrt(bb_cfg.feature_dim))
+    decayed = [{"params": [lin.weight for lin in backbone.linears] + classifier.params(),
                 "weight_decay": cfg.weight_decay}]
     plain = [{"params": [lin.bias for lin in backbone.linears]
               + [p for bn in backbone.norms if bn is not None for p in bn.parameters()]}]
-    return _fit(Model(backbone, w), SGD(decayed + plain, momentum=cfg.momentum),
+    return _fit(Model(backbone, classifier), SGD(decayed + plain, momentum=cfg.momentum),
                 Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
                 cfg=cfg, ds=ds, stage=1, epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule,
                 base_lr=cfg.lr, mode=net.TRAIN, mixup=cfg.mixup_stage1, mix_tag=0x3F,
@@ -399,7 +394,7 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
                  metrics: list | None = None) -> Model:
     """Classifier retraining on class-balanced batches with a frozen backbone."""
     k = ds.num_classes
-    head = GeneralizedHead(model.w.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
+    head = GeneralizedHead(model.classifier.w.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
     groups = head.param_groups()
     for g in groups:
         # Weight decay on dW only; the scaling vector s is left undecayed.
@@ -421,7 +416,7 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
 
     if cfg.shift_bn and cfg.bn_warm_steps:
         net.bn_shift_stats(model.backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
-    return _fit(Model(model.backbone, model.w, head), SGD(groups, momentum=cfg.momentum), sampler,
+    return _fit(Model(model.backbone, head), SGD(groups, momentum=cfg.momentum), sampler,
                 cfg=cfg, ds=ds, stage=2, epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule,
                 base_lr=cfg.lr * cfg.stage2_lr_scale,
                 mode=net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL,
@@ -468,46 +463,53 @@ def write_metrics_csv(metrics: list[dict], path: str | Path):
 
 def save_model(model: Model, path_prefix: str | Path, meta: dict | None = None):
     arrays = {f"backbone.{k}": v for k, v in model.backbone.state_arrays().items()}
-    arrays["classifier.w"] = model.w.values
+    arrays.update(model.classifier.state_arrays())
     meta = dict(meta or {})
     meta["backbone"] = {"in_dim": model.backbone.cfg.in_dim,
                         "hidden": list(model.backbone.cfg.hidden),
                         "batchnorm": model.backbone.cfg.batchnorm,
                         "bn_momentum": model.backbone.cfg.bn_momentum,
                         "seed": model.backbone.cfg.seed}
-    meta["num_classes"] = int(model.w.values.shape[1])
-    if model.head is not None:
-        arrays.update(model.head.state_arrays())
-        meta["head"] = {"mode": model.head.mode, "r": model.head.r,
-                        "lr_ratio_dw": model.head.lr_ratio_dw}
+    meta["num_classes"] = int(model.classifier.w.shape[1])
+    if isinstance(model.classifier, GeneralizedHead):
+        meta["head"] = {"mode": model.classifier.mode, "r": model.classifier.r,
+                        "lr_ratio_dw": model.classifier.lr_ratio_dw}
     net.save_checkpoint(path_prefix, arrays, meta)
 
 
 def load_model(path_prefix: str | Path) -> Model:
-    """A model saved by :func:`save_model`; an array whose shape differs from
-    the one its ``meta`` implies raises :class:`FormatError`."""
+    """A model saved by :func:`save_model`: its entries must be those its ``meta``
+    implies, in those shapes, plus at most the ``classifier.w`` that Stage-2
+    saves once stored beside an equal ``head.w``; else :class:`FormatError`."""
     arrays, meta = net.load_checkpoint(path_prefix)
     manifest = Path(path_prefix).with_suffix(".json")
+    total = sum(a.size for a in arrays.values())
     try:
-        bb = net.Backbone(net.BackboneConfig(**meta["backbone"]))
-        shape_w = (bb.cfg.feature_dim, meta["num_classes"])
-        expected = {f"backbone.{name}": a.shape for name, a in bb.state_arrays().items()}
-        expected["classifier.w"] = shape_w
-        head = None
-        if "head" in meta:
-            head = GeneralizedHead(np.zeros(shape_w), mode=meta["head"]["mode"],
-                                   r=meta["head"]["r"], lr_ratio_dw=meta["head"]["lr_ratio_dw"])
-            expected.update({name: a.shape for name, a in head.state_arrays().items()})
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = net.BackboneConfig(**meta["backbone"])
+        widths = [cfg.in_dim, *cfg.hidden, meta["num_classes"]]
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in widths):
+            raise ValueError(f"layer widths {widths!r} are not all integers >= 1")
+        if sum(a * b for a, b in zip(widths, widths[1:])) > total:  # before any layer is built
+            raise ValueError(f"layer widths {widths} need more weights than the {total}-value blob")
+        shape_w = (cfg.feature_dim, meta["num_classes"])
+        classifier = (GeneralizedHead(np.zeros(shape_w), **meta["head"]) if "head" in meta
+                      else LinearClassifier(np.zeros(shape_w)))
+        bb = net.Backbone(cfg)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{manifest}: malformed meta ({exc!r})") from None
+    expected = {f"backbone.{name}": a.shape for name, a in bb.state_arrays().items()}
+    expected.update((name, a.shape) for name, a in classifier.state_arrays().items())
+    legacy = None if "classifier.w" in expected else arrays.pop("classifier.w", None)
+    if unmatched := sorted(arrays.keys() ^ expected.keys()):
+        raise FormatError(f"{manifest}: " + (f"no entry {unmatched[0]!r}" if unmatched[0] in expected
+                                             else f"entry {unmatched[0]!r} is not implied by meta"))
     for name, shape in expected.items():
-        if name not in arrays:
-            raise FormatError(f"{manifest}: no entry {name!r}")
         if arrays[name].shape != shape:
             raise FormatError(f"{manifest}: {name} has shape {list(arrays[name].shape)}, "
                               f"meta implies {list(shape)}")
+    if legacy is not None and (legacy.shape, legacy.tobytes()) != (expected["head.w"], arrays["head.w"].tobytes()):
+        raise FormatError(f"{manifest}: classifier.w differs from head.w")
     bb.load_state_arrays({name[len("backbone."):]: a for name, a in arrays.items()
                           if name.startswith("backbone.")})
-    if head is not None:
-        head.load_state_arrays(arrays)
-    return Model(bb, Tensor(arrays["classifier.w"].copy(), requires_grad=True), head)
+    classifier.load_state_arrays(arrays)
+    return Model(bb, classifier)

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,23 @@ def test_run_pair_runs_the_named_side_first_and_keeps_each_sides_result(monkeypa
                     "parent_attempted": 3, "parent_correct": True, "parent_failed": 0,
                     "change_attempted": 3, "change_correct": True, "change_failed": 0}
     assert env == {"seed": 4}
+
+
+def test_cross_load_lists_each_scored_output_that_differs_from_the_bases_own(tmp_path):
+    from ltcalib.cli import main
+
+    base = tmp_path / "score-csv"
+    assert main(["gen-data", "--classes", "3", "--nmax", "40", "--nmin", "8", "--dim", "3",
+                 "--out", str(base / "op" / "data" / "score")]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"stage1_epochs": 2, "stage1_schedule": {"kind": "cosine"},
+                                                   "stage2_epochs": 1, "hidden": [4], "batch_size": 16}))
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--data", str(base / "op" / "data" / "score"),
+                 "--out", str(base / "setup" / "ckpt")]) == 0
+    # The base's own outputs, written by this tree's code, so that nothing differs at first.
+    assert ab.cross_load(ab.ROOT, base, tmp_path / "own") == (4, [
+        f"cross-load/{name}" for name in ab.CROSS_LOADED])
+    for name, own in ab.CROSS_LOADED.items():
+        shutil.copy(tmp_path / "own" / name, base / own)
+    assert ab.cross_load(ab.ROOT, base, tmp_path / "same") == (4, [])
+    (base / "op" / "reliability.csv").write_text("changed\n")
+    assert ab.cross_load(ab.ROOT, base, tmp_path / "changed") == (4, ["cross-load/reliability.csv"])

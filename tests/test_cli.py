@@ -1,15 +1,18 @@
 import contextlib
+import copy
 import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ltcalib import data as data_mod, net
 from ltcalib.cli import EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, PRESETS, main
-from ltcalib.trainer import TrainConfig
+from ltcalib.trainer import TrainConfig, load_model
 
 TINY_CONFIG = {
     "stage1_epochs": 3,
@@ -160,13 +163,15 @@ class TestTrain:
                                        {"las_p": -1, "las_kind": "exponential"},
                                        {"batchnorm": "false"},
                                        {"stage1_schedule": {"kind": "multistep", "milestones": [2],
-                                                            "decay": 0.1}}],
+                                                            "decay": 0.1}},
+                                       {"batch_size": 10**21}, {"hidden": [2**63]}],
                              ids=["batch_size", "batches_per_epoch", "stage1_schedule",
                                   "stage2_schedule", "las_kind", "batch_size_one_with_batchnorm",
                                   "stage2_milestones_decreasing", "lr", "hidden", "momentum",
                                   "weight_decay", "stage2_lr_scale", "mixup_force_lam",
                                   "bn_warm_steps", "lr_ratio_dw", "seed", "bn_momentum", "las_p",
-                                  "batchnorm_string", "schedule_unknown_key"])
+                                  "batchnorm_string", "schedule_unknown_key", "batch_size_huge",
+                                  "hidden_huge"])
     def test_out_of_range_value_exits_usage_before_reading_data(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **patch)))
@@ -178,6 +183,16 @@ class TestTrain:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert next(iter(patch)) in err
         assert not (tmp_path / "o").exists()
+
+    def test_width_too_large_to_allocate_exits_usage_with_one_line(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, hidden=[10**14])))
+        code = main(["train", "--config", str(cfg_path),
+                     "--data", str(workspace / "blobs"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["null", "3", '"abc"', "[1]"])
     def test_non_object_config_exits_usage_before_reading_data(self, tmp_path, capsys, text):
@@ -491,7 +506,10 @@ MALFORMED_CHECKPOINT = {
         path, lambda m: dict(m, entries=m["entries"] + m["entries"][:1]))),
     "blob_of_another_save": (".bin", lambda path: path.write_bytes(path.read_bytes()[::-1])),
     "entry_shape_differs_from_meta": (".json", lambda path: _edit_manifest(
-        path, lambda m: dict(m, entries=[dict(e, shape=[2, 2, 2]) if e["name"] == "classifier.w" else e
+        path, lambda m: dict(m, entries=[dict(e, shape=[2, 2, 2]) if e["name"] == "head.w" else e
+                                         for e in m["entries"]]))),
+    "entry_shape_transposed": (".json", lambda path: _edit_manifest(
+        path, lambda m: dict(m, entries=[dict(e, shape=e["shape"][::-1]) if e["name"] == "head.w" else e
                                          for e in m["entries"]]))),
 }
 
@@ -509,3 +527,135 @@ class TestMalformedCheckpoint:
         assert code == EXIT_IO
         assert err.startswith(f"i/o error: {tmp_path / 'model'}.") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr, captured without capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _eval(checkpoint, workspace) -> tuple[int, str, str]:
+    return _run(["eval", "--checkpoint", str(checkpoint), "--data", str(workspace / "blobs")])
+
+
+@pytest.fixture(scope="module")
+def checkpoints(workspace):
+    """The workspace's Stage-2 checkpoint and a Stage-1 one trained on the same data."""
+    cfg_path = workspace / "stage1.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, stage2_epochs=0, stage2_schedule={"kind": "cosine"})))
+    assert main(["train", "--config", str(cfg_path), "--data", str(workspace / "blobs"),
+                 "--out", str(workspace / "stage1")]) == EXIT_OK
+    return {"stage1": workspace / "stage1" / "model", "stage2": workspace / "run" / "model"}
+
+
+def _copy_checkpoint(prefix: Path, dest: Path) -> Path:
+    for suffix in (".json", ".bin"):
+        shutil.copy(prefix.with_suffix(suffix), dest / f"model{suffix}")
+    return dest / "model"
+
+
+def _assert_io_error_line(code, err, prefix):
+    assert code == EXIT_IO, err
+    assert err.startswith(f"i/o error: {prefix}.") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+class TestCheckpointLayout:
+    def test_stage2_stores_the_classifier_weight_once(self, checkpoints):
+        names = {stage: [e["name"] for e in json.loads(prefix.with_suffix(".json").read_text())["entries"]]
+                 for stage, prefix in checkpoints.items()}
+        assert "classifier.w" in names["stage1"] and not any(n.startswith("head.") for n in names["stage1"])
+        assert "classifier.w" not in names["stage2"] and "head.w" in names["stage2"]
+
+    def test_older_layout_with_classifier_w_loads_with_identical_predictions(self, workspace, checkpoints,
+                                                                             tmp_path):
+        arrays, meta = net.load_checkpoint(checkpoints["stage2"])
+        net.save_checkpoint(tmp_path / "old", {**arrays, "classifier.w": arrays["head.w"]}, meta)
+        features = data_mod.load_test_split(workspace / "blobs")[1]
+        new, old = load_model(checkpoints["stage2"]), load_model(tmp_path / "old")
+        assert old.predict_probs(features).tobytes() == new.predict_probs(features).tobytes()
+        assert _eval(tmp_path / "old", workspace)[:2] == _eval(checkpoints["stage2"], workspace)[:2]
+
+    def test_older_layout_whose_classifier_w_differs_from_head_w_exits_io(self, workspace, checkpoints,
+                                                                          tmp_path):
+        arrays, meta = net.load_checkpoint(checkpoints["stage2"])
+        net.save_checkpoint(tmp_path / "old", {**arrays, "classifier.w": arrays["head.w"] + 1.0}, meta)
+        code, _, err = _eval(tmp_path / "old", workspace)
+        _assert_io_error_line(code, err, tmp_path / "old")
+        assert "classifier.w" in err
+
+    def test_weight_norms_of_a_stage1_checkpoint_is_a_usage_error(self, workspace, checkpoints, tmp_path):
+        code, _, err = _run(["weight-norms", "--checkpoint", str(checkpoints["stage1"]),
+                             "--data", str(workspace / "blobs"), "--out", str(tmp_path / "n.csv")])
+        assert code == EXIT_USAGE and err == "error: checkpoint has no trained classifier head\n"
+        assert not (tmp_path / "n.csv").exists()
+
+
+class TestCheckpointAgainstMeta:
+    def test_meta_without_the_batchnorm_its_entries_hold_exits_io(self, workspace, checkpoints, tmp_path):
+        prefix = _copy_checkpoint(checkpoints["stage2"], tmp_path)
+        _edit_manifest(prefix.with_suffix(".json"),
+                       lambda m: {**m, "meta": {**m["meta"], "backbone": {**m["meta"]["backbone"],
+                                                                          "batchnorm": False}}})
+        code, out, err = _eval(prefix, workspace)
+        _assert_io_error_line(code, err, prefix)
+        assert "'backbone.bn0." in err and out == ""
+
+    @pytest.mark.parametrize("hidden", [[4_000_000], [10**14]], ids=["4e6", "1e14"])
+    def test_claimed_width_is_checked_before_any_layer_is_built(self, workspace, checkpoints, tmp_path,
+                                                                monkeypatch, hidden):
+        prefix = _copy_checkpoint(checkpoints["stage2"], tmp_path)
+        _edit_manifest(prefix.with_suffix(".json"),
+                       lambda m: {**m, "meta": {**m["meta"], "backbone": {**m["meta"]["backbone"],
+                                                                          "hidden": hidden}}})
+
+        def no_backbone(*args, **kwargs):
+            raise AssertionError("a Backbone was built")
+
+        monkeypatch.setattr(net, "Backbone", no_backbone)
+        tracemalloc.start()
+        try:
+            code, out, err = _eval(prefix, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_io_error_line(code, err, prefix)
+        assert "layer widths" in err and out == ""
+        assert peak < 8 * 2**20  # the real checkpoint is a few kB; the claim is >= 1 GB
+
+    # Any one meta value (top level, backbone.* or head.*) or entry field set to
+    # any JSON value, or one entry dropped or duplicated.
+    @settings(max_examples=200, deadline=None)
+    @given(stage=st.sampled_from(["stage1", "stage2"]), data=st.data())
+    def test_any_one_mutation_fails_cleanly_or_scores_the_same(self, workspace, checkpoints, stage, data):
+        prefix = checkpoints[stage]
+        manifest = json.loads(prefix.with_suffix(".json").read_text())
+        meta, entries = manifest["meta"], manifest["entries"]
+        sites = ([("meta", key) for key in meta]
+                 + [(group, key) for group in ("backbone", "head") for key in meta.get(group, {})]
+                 + [("entry", i, f) for i in range(len(entries)) for f in ("name", "shape", "offset")]
+                 + [(kind, i) for kind in ("drop", "duplicate") for i in range(len(entries))])
+        site = data.draw(st.sampled_from(sites), label="site")
+        mutated = copy.deepcopy(manifest)
+        if site[0] == "drop":
+            del mutated["entries"][site[1]]
+        elif site[0] == "duplicate":
+            mutated["entries"].insert(site[1], entries[site[1]])
+        else:
+            value = data.draw(JSON_VALUES, label="value")
+            if site[0] == "entry":
+                mutated["entries"][site[1]][site[2]] = value
+            else:
+                (mutated["meta"] if site[0] == "meta" else mutated["meta"][site[0]])[site[1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            copied = _copy_checkpoint(prefix, Path(tmp))
+            copied.with_suffix(".json").write_text(json.dumps(mutated))
+            code, out, err = _eval(copied, workspace)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            assert err == "" and out == _eval(prefix, workspace)[1]
+        else:
+            assert code in (EXIT_IO, EXIT_SHAPE) and err.count("\n") == 1, (code, err)

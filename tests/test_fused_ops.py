@@ -1,9 +1,12 @@
-"""Fused tape nodes against the composite Tensor graphs they replace.
+"""Plain-array kernels and the fused loss against the composite Tensor graphs.
 
-Each fused node (linear, batch-norm train, softmax cross-entropy and the
-Stage-2 head) must give values, loss, gradients and BN running statistics
-that are byte-identical to the composite graph built from the elementwise
-Tensor ops. Also covered: gradient routing through shared and repeated
+Training and scoring run each layer as a kernel pair, ``forward(...) -> (out,
+ctx)`` and ``backward(ctx, g)``; on the tape, Linear, train-mode batch norm,
+ReLU and both classifiers are composite graphs of the elementwise Tensor ops.
+Driven with the same upstream gradient, each kernel pair must give values,
+gradients and BN running statistics byte-identical to its composite graph,
+and the one fused node, softmax cross-entropy, must match its composite
+graph too. Also covered: gradient routing through shared and repeated
 inputs, and the tape-free eval/shift backbone forward.
 """
 
@@ -13,10 +16,11 @@ import numpy as np
 import pytest
 
 from ltcalib import net
-from ltcalib.head import GeneralizedHead
+from ltcalib.head import GeneralizedHead, LinearClassifier
 from ltcalib.losses import soft_ce_loss
-from ltcalib.net import Backbone, BackboneConfig, BatchNorm
-from ltcalib.tensor import Tensor, linear, log_softmax, relu
+from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear
+from ltcalib.tensor import (Tensor, linear_backward, linear_forward, log_softmax, relu,
+                            relu_backward, relu_forward)
 
 from conftest import assert_grads_close, central_diff
 
@@ -30,6 +34,13 @@ SHAPES = _EDGES + [(int(_draw.integers(2, 65)), int(_draw.integers(1, 41)),
 def _same(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _all_same(kernel, composite):
+    """Pairwise byte equality; a gradient the kernel leaves None must be None on the tape too."""
+    assert len(kernel) == len(composite)
+    return all((a is None and b is None) or (a is not None and b is not None and _same(a, b))
+               for a, b in zip(kernel, composite))
 
 
 def _leaf(values):
@@ -47,28 +58,58 @@ def test_linear_matches_composite(m, d, k, bias):
     rng = np.random.default_rng(m * 1000 + d * 10 + k)
     x0, w0, b0 = rng.standard_normal((m, d)), rng.standard_normal((k, d)), rng.standard_normal(k)
     r = rng.standard_normal((m, k))
-    runs = []
-    for fused in (True, False):
-        x, w = _leaf(x0), _leaf(w0)
-        b = _leaf(b0) if bias else None
-        if fused:
-            out = linear(x, w, b)
-        else:
-            out = x @ w.T
-            out = out + b if bias else out
-        _weighted_sum(out, r).backward()
-        runs.append([out.values, x.grad, w.grad] + ([b.grad] if bias else []))
-    assert all(_same(a, b) for a, b in zip(*runs))
+    out, ctx = linear_forward(x0, w0, b0 if bias else None)
+    kernel = [out, *linear_backward(ctx, r)]
+
+    lin = Linear(d, k, rng, bias=bias)
+    lin.weight.values = w0.copy()
+    if bias:
+        lin.bias.values = b0.copy()
+    x = _leaf(x0)
+    out = lin(x)
+    _weighted_sum(out, r).backward()
+    composite = [out.values, x.grad, lin.weight.grad, lin.bias.grad if bias else None]
+    assert _all_same(kernel, composite)
 
 
-def _bn_composite(bn: BatchNorm, h: Tensor) -> Tensor:
-    """The train-mode batch-norm graph built from elementwise Tensor ops."""
-    mu = h.mean(axis=0)
-    diff = h - mu
-    var = (diff * diff).mean(axis=0)
-    bn._update_running(mu.values, var.values)
-    x_hat = diff / (var + bn.eps).sqrt()
-    return bn.scale * x_hat + bn.shift
+@pytest.mark.parametrize("m,d,k", SHAPES)
+def test_linear_classifier_kernels_match_composite(m, d, k):
+    rng = np.random.default_rng(m * 1000 + d * 10 + k + 1)
+    x0, w0 = rng.standard_normal((m, d)), rng.standard_normal((d, k))
+    r = rng.standard_normal((m, k))
+    clf = LinearClassifier(w0)
+    out, ctx = clf.forward_arrays(x0)
+    kernel = [out, *clf.backward_arrays(ctx, r)]
+
+    x, w = _leaf(x0), _leaf(w0)
+    out = x @ w
+    _weighted_sum(out, r).backward()
+    assert _all_same(kernel, [out.values, x.grad, w.grad])
+    # The classifier's own taped call is that graph.
+    x = _leaf(x0)
+    out = clf(x)
+    _weighted_sum(out, r).backward()
+    assert _all_same(kernel, [out.values, x.grad, clf.w.grad])
+
+
+@pytest.mark.parametrize("m,d,k", SHAPES)
+def test_relu_kernels_match_composite(m, d, k):
+    rng = np.random.default_rng(m * 3 + d)
+    x0, r = rng.standard_normal((m, d)), rng.standard_normal((m, d))
+    out, mask = relu_forward(x0)
+    x = _leaf(x0)
+    taped = relu(x)
+    _weighted_sum(taped, r).backward()
+    assert _all_same([out, relu_backward(mask, r)], [taped.values, x.grad])
+
+
+def _fresh_bn(d: int) -> BatchNorm:
+    bn = BatchNorm(d, momentum=0.3)
+    bn.scale.values = np.linspace(0.5, 2.0, d)
+    bn.shift.values = np.linspace(-1.0, 1.0, d)
+    bn.running_mean = np.full(d, 0.25)
+    bn.running_var = np.full(d, 1.5)
+    return bn
 
 
 @pytest.mark.parametrize("m,d,k", SHAPES)
@@ -76,19 +117,16 @@ def test_batchnorm_train_matches_composite(m, d, k):
     rng = np.random.default_rng(m * 7 + d)
     h0 = rng.standard_normal((m, d)) * 3.0 + rng.standard_normal(d)
     r = rng.standard_normal((m, d))
-    runs = []
-    for fused in (True, False):
-        bn = BatchNorm(d, momentum=0.3)
-        bn.scale.values = np.linspace(0.5, 2.0, d)
-        bn.shift.values = np.linspace(-1.0, 1.0, d)
-        bn.running_mean = np.full(d, 0.25)
-        bn.running_var = np.full(d, 1.5)
-        h = _leaf(h0)
-        out = bn(h) if fused else _bn_composite(bn, h)
-        _weighted_sum(out, r).backward()
-        runs.append([out.values, h.grad, bn.scale.grad, bn.shift.grad,
-                     bn.running_mean, bn.running_var])
-    assert all(_same(a, b) for a, b in zip(*runs))
+    bn = _fresh_bn(d)
+    out, ctx = bn.train_forward(h0)
+    kernel = [out, *bn.train_backward(ctx, r), bn.running_mean, bn.running_var]
+
+    bn = _fresh_bn(d)
+    h = _leaf(h0)
+    out = bn(h)
+    _weighted_sum(out, r).backward()
+    assert _all_same(kernel, [out.values, h.grad, bn.scale.grad, bn.shift.grad,
+                              bn.running_mean, bn.running_var])
 
 
 @pytest.mark.parametrize("m,d,k", SHAPES)
@@ -137,11 +175,6 @@ def test_softmax_cross_entropy_rejects_mismatched_targets():
         soft_ce_loss(np.full((3, 4), 0.25), Tensor(np.zeros((2, 4))))
 
 
-def _head_composite(head: GeneralizedHead, x: Tensor) -> Tensor:
-    eff = Tensor(head.r * head.w) + head.dw
-    return (x @ eff) * head.s
-
-
 @pytest.mark.parametrize("m,d,k", SHAPES)
 @pytest.mark.parametrize("mode", ["crt", "lws", "generalized"])
 def test_head_matches_composite(m, d, k, mode):
@@ -150,16 +183,15 @@ def test_head_matches_composite(m, d, k, mode):
     dw0, s0 = 0.1 * rng.standard_normal((d, k)), rng.uniform(0.5, 1.5, k)
     x0 = rng.standard_normal((m, d))
     r = rng.standard_normal((m, k))
-    runs = []
-    for fused in (True, False):
-        head = GeneralizedHead(w, mode=mode)
-        head.dw.values, head.s.values = dw0.copy(), s0.copy()
-        x = _leaf(x0)
-        out = head(x) if fused else _head_composite(head, x)
-        _weighted_sum(out, r).backward()
-        runs.append([out.values, x.grad, head.dw.grad, head.s.grad])
-    for a, b in zip(*runs):
-        assert (a is None and b is None) or _same(a, b)
+    head = GeneralizedHead(w, mode=mode)
+    head.dw.values, head.s.values = dw0.copy(), s0.copy()
+    out, ctx = head.forward_arrays(x0)
+    kernel = [out, *head.backward_arrays(ctx, r)]
+
+    x = _leaf(x0)
+    out = head(x)
+    _weighted_sum(out, r).backward()
+    assert _all_same(kernel, [out.values, x.grad, head.dw.grad, head.s.grad])
 
 
 # -- gradient routing ----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from ltcalib import net, trainer
 from ltcalib.tensor import Tensor, softmax
 from ltcalib.data import MixupConfig, gen_gaussian_blobs, mixup_batch
+from ltcalib.head import GeneralizedHead
 from ltcalib.losses import (
     SmoothingSchedule,
     ce_loss,
@@ -261,7 +262,7 @@ def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr
                 x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, k,
                                    lam=cfg.mixup_force_lam)
             feats = model.backbone.forward(x, mode)
-            z = model.head(feats) if model.head is not None else feats @ model.w
+            z = model.classifier(feats)
             loss = soft_ce_loss(q, z) if mixup else loss_of(y, z)
             losses.append(loss.values.item())
             for g in opt.groups:
@@ -309,7 +310,7 @@ class TestDirectChain:
 def _run_bytes(res) -> dict:
     """The bytes of a run's curves, final metrics and every state array."""
     model = res["model"]
-    arrays = {**model.backbone.state_arrays(), "w": model.w.values, **model.head.state_arrays()}
+    arrays = {**model.backbone.state_arrays(), **model.classifier.state_arrays()}
     out = {f"array {name}": a.tobytes() for name, a in arrays.items()}
     out["curves"] = np.array([[row[key] for key in sorted(row)] for row in res["curves"]]).tobytes()
     out.update({f"final {key}": None if v is None else np.float64(v).tobytes()
@@ -325,18 +326,18 @@ class TestDeterminism:
         assert a["final"] == b["final"]
         assert a["curves"] == b["curves"]
         ma, mb = a["model"], b["model"]
-        assert ma.w.values.tobytes() == mb.w.values.tobytes()
+        assert ma.classifier.w.tobytes() == mb.classifier.w.tobytes()
         for k, arr in ma.backbone.state_arrays().items():
             assert arr.tobytes() == mb.backbone.state_arrays()[k].tobytes()
-        assert ma.head.dw.values.tobytes() == mb.head.dw.values.tobytes()
-        assert ma.head.s.values.tobytes() == mb.head.s.values.tobytes()
+        assert ma.classifier.dw.values.tobytes() == mb.classifier.dw.values.tobytes()
+        assert ma.classifier.s.values.tobytes() == mb.classifier.s.values.tobytes()
 
     def test_forced_full_mixup_matches_no_mixup(self, ds):
         # lambda pinned at 1 makes each mixed batch equal the raw batch,
         # so the trajectories must agree to the bit
         on = train_stage1(tiny_cfg(mixup_stage1=True, mixup_force_lam=1.0), ds)
         off = train_stage1(tiny_cfg(mixup_stage1=False), ds)
-        assert on.w.values.tobytes() == off.w.values.tobytes()
+        assert on.classifier.w.values.tobytes() == off.classifier.w.values.tobytes()
         for k, arr in on.backbone.state_arrays().items():
             assert arr.tobytes() == off.backbone.state_arrays()[k].tobytes()
 
@@ -346,15 +347,15 @@ class TestStage2:
         cfg = tiny_cfg(shift_bn=True)
         model = train_stage1(cfg, ds)
         before = {k: v.tobytes() for k, v in model.backbone.state_arrays().items()}
-        w_before = model.w.values.tobytes()
+        w_before = model.classifier.w.values.tobytes()
         trained = train_stage2(cfg, model, ds)
         after = trained.backbone.state_arrays()
         for k in before:
             if "running" in k:
                 continue
             assert after[k].tobytes() == before[k], f"{k} changed during stage 2"
-        assert trained.w.values.tobytes() == w_before
-        assert trained.head is not None
+        assert trained.classifier.w.tobytes() == w_before
+        assert isinstance(trained.classifier, GeneralizedHead)
 
     def test_shift_toggle_moves_only_running_stats(self, ds):
         cfg_off = tiny_cfg(shift_bn=False)
@@ -396,8 +397,8 @@ class TestStage2:
         again = run(cfg, ds)
         assert again["curves"] == res["curves"]
         for name in ("dw", "s"):
-            assert (getattr(again["model"].head, name).values.tobytes()
-                    == getattr(res["model"].head, name).values.tobytes())
+            assert (getattr(again["model"].classifier, name).values.tobytes()
+                    == getattr(res["model"].classifier, name).values.tobytes())
 
     @pytest.mark.parametrize("mode", ["crt", "lws", "generalized"])
     def test_all_head_modes_train(self, ds, mode):
