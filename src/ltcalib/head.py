@@ -1,11 +1,12 @@
 """The classifiers: Stage-1 z = W^T x and the Stage-2 head z = diag(s) (r*W + dW)^T x.
 
 Both have the kernel pair ``forward_arrays``/``backward_arrays`` that training
-and scoring run, and a composite taped ``__call__``. In the head, W is the
-frozen Stage-1 classifier weight. The head degenerates to classifier
-re-training (cRT: r=0, s fixed at 1, dW learnable) and to learnable weight
-scaling (LWS: r=1, dW fixed at 0, s learnable); the generalized mode learns
-both s and dW, with a separate learning-rate multiplier for dW.
+runs, ``eval_logits``, the same logits with no context, which scoring runs,
+and a composite taped ``__call__``. In the head, W is the frozen Stage-1
+classifier weight. The head degenerates to classifier re-training (cRT: r=0,
+s fixed at 1, dW learnable) and to learnable weight scaling (LWS: r=1, dW
+fixed at 0, s learnable); the generalized mode learns both s and dW, with a
+separate learning-rate multiplier for dW.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ class LinearClassifier:
 
     def forward_arrays(self, x: np.ndarray):
         return linear_forward(x, self.w.values.T)  # x @ w: w.T's transpose is w itself
+
+    def eval_logits(self, x: np.ndarray) -> np.ndarray:
+        """The logits of :meth:`forward_arrays` with no context."""
+        return self.forward_arrays(x)[0]
 
     def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
         """Gradients (x, w) of :meth:`forward_arrays`; x's is None unless ``input_grad``."""
@@ -64,14 +69,25 @@ class GeneralizedHead:
         self.dw = Tensor(np.zeros_like(self.w), requires_grad=(mode != "lws"))
         self.s = Tensor(np.ones(self.w.shape[1]), requires_grad=(mode != "crt"))
 
-    def forward_arrays(self, x: np.ndarray):
-        """Logits ``(x @ (r * W + dW)) * s`` of feature rows on arrays, recording
-        no tape; the context is for :meth:`backward_arrays`."""
+    def _unscaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(r * W + dW, x @ (r * W + dW))``: the logits before the scaling by s."""
         if x.shape[1] != self.w.shape[0]:
             raise ValueError(f"feature width {x.shape[1]} != {self.w.shape[0]}")
         eff = self.r * self.w + self.dw.values
-        z = x @ eff
+        return eff, x @ eff
+
+    def forward_arrays(self, x: np.ndarray):
+        """Logits ``(x @ (r * W + dW)) * s`` of feature rows on arrays, recording
+        no tape; the context is for :meth:`backward_arrays`."""
+        eff, z = self._unscaled(x)
         return z * self.s.values, (x, eff, z)
+
+    def eval_logits(self, x: np.ndarray) -> np.ndarray:
+        """The logits of :meth:`forward_arrays` with no context: scaled by s in
+        place, so the unscaled logits are not kept beside them."""
+        z = self._unscaled(x)[1]
+        z *= self.s.values
+        return z
 
     def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
         """Gradients (x, dW, s) of :meth:`forward_arrays`; x's is None unless

@@ -117,23 +117,29 @@ class BatchNorm:
         return g_diff + g_mean, g_scale, g_shift
 
     def normalize(self, h: np.ndarray) -> np.ndarray:
-        """Eval or shift mode on plain values: affine frozen, nothing recorded.
+        """Eval or shift mode on plain values: affine frozen, nothing recorded,
+        ``h`` left as it was. Eval normalizes by the running statistics; shift
+        normalizes by the batch statistics and folds them into the running ones."""
+        return self.normalize_inplace(np.array(h, dtype=np.float64))
 
-        Eval normalizes by the running statistics; shift normalizes by the
-        batch statistics and folds them into the running ones.
-        """
+    def normalize_inplace(self, h: np.ndarray) -> np.ndarray:
+        """:meth:`normalize` written over the float64 array ``h``, which is returned."""
         if self.mode == EVAL:
-            x_hat = (h - self.running_mean) / np.sqrt(self.running_var + self.eps)
+            h -= self.running_mean
+            h /= np.sqrt(self.running_var + self.eps)
         elif self.mode == SHIFT:
             if h.shape[0] < 2:
                 raise ValueError("batch normalization needs batch size >= 2 in training modes")
             mu = h.mean(axis=0)
-            var = ((h - mu) ** 2).mean(axis=0)
+            h -= mu
+            var = (h**2).mean(axis=0)
             self._update_running(mu, var)
-            x_hat = (h - mu) / np.sqrt(var + self.eps)
+            h /= np.sqrt(var + self.eps)
         else:
             raise ValueError(f"unknown batch-norm mode {self.mode!r}; expected one of {MODES}")
-        return self.scale.values * x_hat + self.shift.values
+        h *= self.scale.values
+        h += self.shift.values
+        return h
 
     def _update_running(self, mu: np.ndarray, var: np.ndarray):
         self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mu
@@ -198,15 +204,18 @@ class Backbone:
         return h
 
     def frozen_features(self, x: np.ndarray, mode: str) -> np.ndarray:
-        """Features of a batch of plain values in eval or shift mode, as an array."""
+        """Features of a batch of plain values in eval or shift mode, as an array.
+        Each layer's product ``values @ W.T`` is the one array it allocates: the
+        bias, batch norm and ReLU are applied over it in place."""
         self.set_mode(mode)
         values = np.asarray(x, dtype=np.float64)
         self._check_width(values)
         for lin, bn in zip(self.linears, self.norms):
-            values = values @ lin.weight.values.T + lin.bias.values
+            values = values @ lin.weight.values.T
+            values += lin.bias.values
             if bn is not None:
-                values = bn.normalize(values)
-            values = values * (values > 0.0)
+                bn.normalize_inplace(values)
+            values *= values > 0.0  # ReLU as x * (x > 0), so a negative input gives -0.0
         return values
 
     def _check_width(self, values: np.ndarray):

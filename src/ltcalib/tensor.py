@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "matmul", "linear_forward", "linear_backward", "relu", "relu_forward",
-    "relu_backward", "log_softmax", "softmax", "softmax_cross_entropy",
+    "relu_backward", "log_softmax", "softmax", "softmax_inplace", "softmax_cross_entropy",
     "softmax_cross_entropy_forward", "softmax_cross_entropy_backward",
 ]
 
@@ -276,9 +276,32 @@ def _rows(t: Tensor) -> np.ndarray:
     return t.values if t.values.ndim == 2 else t.values.reshape(1, -1)
 
 
+# Rows per block of softmax_inplace; its one scratch buffer holds this many rows.
+_SOFTMAX_BLOCK_ROWS = 512
+
+
+def _log_softmax_into(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of ``rows`` written over it, with ``scratch``, an
+    array of its shape, holding the exponentials of the shifted rows."""
+    rows -= rows.max(axis=1, keepdims=True)
+    rows -= np.log(np.exp(rows, out=scratch).sum(axis=1, keepdims=True))
+    return rows
+
+
 def _log_softmax_rows(vals: np.ndarray) -> np.ndarray:
-    shifted = vals - vals.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.array(vals, dtype=np.float64)  # a copy in vals' memory layout
+    return _log_softmax_into(rows, np.empty_like(rows))
+
+
+def softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D float64 array of logits, written over ``z`` and
+    returned: the bits of ``np.exp(_log_softmax_rows(z))``, computed in blocks
+    of rows with one block-sized scratch buffer."""
+    scratch = np.empty((min(len(z), _SOFTMAX_BLOCK_ROWS), z.shape[1]))
+    for start in range(0, len(z), _SOFTMAX_BLOCK_ROWS):
+        block = z[start : start + _SOFTMAX_BLOCK_ROWS]
+        np.exp(_log_softmax_into(block, scratch[: len(block)]), out=block)
+    return z
 
 
 def log_softmax(t: Tensor) -> Tensor:

@@ -38,13 +38,13 @@ from .losses import (
 )
 from .tensor import (
     Tensor,
-    _log_softmax_rows,
     linear_backward,
     linear_forward,
     relu_backward,
     relu_forward,
     softmax_cross_entropy_backward,
     softmax_cross_entropy_forward,
+    softmax_inplace,
 )
 
 __all__ = [
@@ -62,9 +62,12 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}")
-        self.epoch = epoch
+    """A non-finite training loss, at a stage (1 or 2), an epoch and a step of
+    that epoch (both counted from 0)."""
+
+    def __init__(self, stage: int, epoch: int, step: int):
+        super().__init__(f"non-finite loss at stage {stage}, epoch {epoch}, step {step}")
+        self.stage, self.epoch, self.step = stage, epoch, step
 
 
 SCHEDULE_KINDS = ("multistep", "cosine")
@@ -315,10 +318,9 @@ class Model:
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities on plain arrays, recording no tape;
-        the same values as ``softmax(self.logits(x, net.EVAL)).values``."""
-        # Only the logits: a context kept here would hold its arrays through the softmax.
-        z = self.classifier.forward_arrays(self.backbone.frozen_features(x, net.EVAL))[0]
-        return np.exp(_log_softmax_rows(z))
+        the same values as ``softmax(self.logits(x, net.EVAL)).values``. The
+        softmax is taken over the logits matrix in place; ``x`` is not changed."""
+        return softmax_inplace(self.classifier.eval_logits(self.backbone.frozen_features(x, net.EVAL)))
 
 
 def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
@@ -331,6 +333,9 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     return out
 
 
+# numpy's overflow warnings stay quiet in training: a non-finite loss is
+# reported once, as the DivergenceError that names where it happened.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
          stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
          mix_tag: int, targets, metrics: list | None) -> Model:
@@ -346,7 +351,7 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
     for epoch in range(epochs):
         lr = lr_at(schedule, epoch, epochs, base_lr)
         losses = []
-        for _ in range(steps):
+        for step in range(steps):
             x, y = sampler.next_batch(cfg.batch_size)
             if mixup:
                 perm = mix_rng.permutation(len(x))
@@ -358,7 +363,7 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
             loss, ce_ctx = softmax_cross_entropy_forward(q, z)
             losses.append(loss.item())
             if not np.isfinite(losses[-1]):
-                raise DivergenceError(epoch)
+                raise DivergenceError(stage, epoch, step)
             model.train_backward(ctx, softmax_cross_entropy_backward(ce_ctx))
             opt.step(lr)
         if metrics is not None:
@@ -456,6 +461,13 @@ def run_ablation_grid(base_cfg: TrainConfig, ds: LongTailedDataset) -> list[dict
 
 
 def write_metrics_csv(metrics: list[dict], path: str | Path):
+    """One row per epoch curve entry; a non-finite value raises ``ValueError``
+    naming its stage, epoch and column before any file is opened."""
+    for row in metrics:
+        for column in ("lr", "train_loss", "test_acc", "ece"):
+            if not math.isfinite(row[column]):
+                raise ValueError(f"metrics: {column} is {row[column]!r} at stage {row['stage']}, "
+                                 f"epoch {row['epoch']}; a curve value must be finite")
     write_csv(path, ["epoch", "stage", "lr", "train_loss", "test_acc", "ece"],
               ([row["epoch"], row["stage"], repr(row["lr"]), repr(row["train_loss"]),
                 repr(row["test_acc"]), repr(row["ece"])] for row in metrics))

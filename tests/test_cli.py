@@ -2,7 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ltcalib import data as data_mod, net
-from ltcalib.cli import EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, PRESETS, main
+from ltcalib.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, PRESETS, main
 from ltcalib.trainer import TrainConfig, load_model
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY_CONFIG = {
     "stage1_epochs": 3,
@@ -183,6 +189,19 @@ class TestTrain:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert next(iter(patch)) in err
         assert not (tmp_path / "o").exists()
+
+    def test_divergence_exits_3_with_one_stderr_line_naming_the_stage(self, workspace, tmp_path):
+        # A child process, so that numpy's warnings reach stderr as they would
+        # in a shell rather than pytest's warning capture.
+        cfg_path = tmp_path / "diverge.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, lr=1e12)))
+        proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", "train", "--config", str(cfg_path),
+                               "--data", str(workspace / "blobs"), "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == EXIT_DIVERGENCE
+        assert re.fullmatch(r"divergence: non-finite loss at stage [12], epoch \d+, step \d+\n",
+                            proc.stderr), proc.stderr
+        assert not (tmp_path / "o" / "model.json").exists()
 
     def test_width_too_large_to_allocate_exits_usage_with_one_line(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "huge.json"

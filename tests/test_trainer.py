@@ -387,6 +387,13 @@ class TestStage2:
             run(cfg, ds)
         assert exc.value.epoch >= 0
 
+    def test_divergence_names_stage_epoch_and_step(self, ds):
+        with pytest.raises(DivergenceError) as exc:
+            run(tiny_cfg(lr=1e12), ds)
+        err = exc.value
+        assert err.stage in (1, 2) and err.epoch >= 0 and 0 <= err.step < 4
+        assert str(err) == f"non-finite loss at stage {err.stage}, epoch {err.epoch}, step {err.step}"
+
     @pytest.mark.parametrize("loss, mixup", [("las", False), ("ce", False), ("weighted", False),
                                              ("weighted", True)],
                              ids=["las", "ce", "weighted", "weighted-mixup_stage2"])
@@ -434,6 +441,17 @@ class TestArtifacts:
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,stage,lr,train_loss,test_acc,ece"
         assert len(lines) == 1 + 3 + 2  # header + stage1 + stage2 epochs
+
+    @pytest.mark.parametrize("column", ["lr", "train_loss", "test_acc", "ece"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_metrics_csv_refuses_a_non_finite_value_and_writes_nothing(self, tmp_path, column, bad):
+        rows = [{"epoch": e, "stage": 1, "lr": 0.1, "train_loss": 1.5, "test_acc": 40.0, "ece": 9.0}
+                for e in range(3)]
+        rows[2][column] = bad
+        with pytest.raises(ValueError) as exc:
+            write_metrics_csv(rows, tmp_path / "metrics.csv")
+        assert column in str(exc.value) and "epoch 2" in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_model_round_trip_preserves_predictions(self, ds, tmp_path):
         res = run(tiny_cfg(), ds)

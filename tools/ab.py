@@ -5,10 +5,11 @@ Usage (from the repository root):
     python3 tools/ab.py --base HEAD~1 --pairs 10 --out BENCH_pr<N>.json
     python3 tools/ab.py --base HEAD --pairs 0
 
-The base revision and the working tree (tracked files with their uncommitted
-edits, plus untracked files that ``.gitignore`` does not exclude) are each
-exported with ``git archive`` into a temporary directory, so the repository's
-own checkout and ``.git`` are left as they were.
+The base revision's tree and the working tree (tracked files with their
+uncommitted edits, plus untracked files that ``.gitignore`` does not exclude)
+are each exported with ``git archive`` of a tree id into a temporary directory,
+so the repository's own checkout and ``.git`` are left as they were, and both
+sides' files carry the time of export as their mtime.
 
 Byte-diff: in each tree, every workload of ``perfbench/workloads.py`` runs its
 set-up and one operation for one seed, then ``train`` runs the five small
@@ -265,7 +266,9 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         workdir = Path(tmp)
-        trees = {"parent": export_tree(base_sha, workdir / "parent"),
+        # Both sides are archived from a tree id, so both get the time of export
+        # as their files' mtime; a commit would stamp its commit time on the base's.
+        trees = {"parent": export_tree(f"{base_sha}^{{tree}}", workdir / "parent"),
                  "change": export_tree(working_tree_id(workdir), workdir / "change")}
         for side, tree in trees.items():
             try:
