@@ -150,11 +150,17 @@ class ShapeMismatch(Exception):
 
 
 def _scored(args) -> tuple[dict, PredictionLog]:
-    """The dataset sidecar and the checkpoint's prediction log on the test split;
-    the training CSV is not read."""
+    """The dataset sidecar and the checkpoint's prediction log on the test split (the training
+    CSV is not read); a row the forward pass overflows to a NaN probability is a malformed file."""
     sidecar, features, labels = data_mod.load_test_split(args.data)
     model = _load_model_for(sidecar, args.checkpoint)
-    return sidecar, PredictionLog.from_probs(model.predict_probs(features), labels)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        probs = model.predict_probs(features)
+    if np.isnan(probs.sum()):  # a softmax row of finite logits is finite
+        row = np.isnan(probs).any(axis=1).argmax() + 1
+        raise data_mod.DatasetFormatError(f"{Path(args.data).parent / sidecar['test_csv']}: data row {row} "
+                                          "overflows the checkpoint's forward pass to a NaN probability")
+    return sidecar, PredictionLog.from_probs(probs, labels)
 
 
 def cmd_gen_data(args) -> int:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import FormatError, write_atomic, write_json
+from .artifacts import (_AT_LEAST_ONE, _POSITIVE, FormatError, _number, _one_of, check_fields, list_of,
+                        write_atomic, write_json)
 
 __all__ = [
     "LongTailedDataset",
@@ -37,10 +38,8 @@ def make_longtail_profile(n_max: int, n_min: int, k: int) -> np.ndarray:
     counts[j] = round(n_max * beta**(-j/(k-1))); the first and last entries are
     pinned to n_max and n_min exactly so the realized imbalance factor is exact.
     """
-    if k < 2:
-        raise ValueError("need at least 2 classes")
-    if n_min < 1 or n_max < n_min:
-        raise ValueError("require n_max >= n_min >= 1")
+    if k < 2 or not 1 <= n_min <= n_max < 2**63:
+        raise ValueError(f"require k >= 2 and 2**63 > n_max >= n_min >= 1, got k={k}, n_max={n_max}, n_min={n_min}")
     beta = n_max / n_min
     j = np.arange(k)
     counts = np.rint(n_max * beta ** (-j / (k - 1))).astype(np.int64)
@@ -110,25 +109,23 @@ def gen_gaussian_blobs(
 ) -> LongTailedDataset:
     """Isotropic Gaussian blobs around unit-sphere centers, plus a balanced test set."""
     counts = np.asarray(counts, dtype=np.int64)
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if not (np.isfinite(spread) and spread > 0):
-        raise ValueError(f"spread must be a finite number > 0, got {spread!r}")
-    if test_per_class < 1:
-        raise ValueError("test_per_class must be >= 1")
+    check_fields({"dim": _number(">= 2", lambda v: v >= 2, integer=True), "spread": _POSITIVE,
+                  "test_per_class": _AT_LEAST_ONE}, {"dim": dim, "spread": spread, "test_per_class": test_per_class})
     k = len(counts)
     centers = _class_centers(k, dim, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD4]))
 
-    features = np.concatenate(
-        [centers[j] + spread * rng.standard_normal((int(counts[j]), dim)) for j in range(k)]
-    )
-    labels = np.repeat(np.arange(k), counts)
-
     test_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E]))
-    test_features = np.concatenate(
-        [centers[j] + spread * test_rng.standard_normal((test_per_class, dim)) for j in range(k)]
-    )
+    with np.errstate(over="ignore"):  # reported below as the ValueError that names the spread
+        features = np.concatenate(
+            [centers[j] + spread * rng.standard_normal((int(counts[j]), dim)) for j in range(k)]
+        )
+        test_features = np.concatenate(
+            [centers[j] + spread * test_rng.standard_normal((test_per_class, dim)) for j in range(k)]
+        )
+    if not (np.isfinite(features).all() and np.isfinite(test_features).all()):
+        raise ValueError(f"spread {spread!r} makes a feature non-finite; it must be smaller")
+    labels = np.repeat(np.arange(k), counts)
     test_labels = np.repeat(np.arange(k), test_per_class)
 
     return LongTailedDataset(
@@ -247,28 +244,38 @@ def _write_feature_csv(fh, features: np.ndarray, labels: np.ndarray):
         fh.write("".join([row_format % (*row, lab) for row, lab in rows]))
 
 
+# What save_dataset writes in a sidecar, walked by load_sidecar.
+SIDECAR_RULES = {
+    "class_counts": list_of("integers in [1, 2**63)", _AT_LEAST_ONE),
+    "splits": list_of("tags in ('many', 'medium', 'few')", _one_of(("many", "medium", "few"))),
+    "dim": _AT_LEAST_ONE, "imbalance_factor": _POSITIVE,
+    "seed": _number(">= 0", lambda v: v >= 0, integer=True, null=True),
+    "test_csv": ("null or a printable string", lambda v: v is None or isinstance(v, str) and v.isprintable()),
+}
+
+
 def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
     """Write <prefix>.csv (+ .test.csv when present) and a JSON sidecar, each
-    atomically; the sidecar is written last. A dataset with an empty class
-    has no imbalance factor, so it is rejected before any file is written."""
+    atomically; the sidecar is written last. A dataset with an empty class (no
+    imbalance factor) or a sidecar off ``SIDECAR_RULES`` is rejected first."""
     if np.any(np.asarray(ds.class_counts) == 0):
         raise ValueError("cannot save a dataset with an empty class: its imbalance factor is undefined")
     prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(prefix.with_suffix(".csv"),
-                 lambda fh: _write_feature_csv(fh, ds.features, ds.labels))
+    test_path = prefix.parent / (prefix.name + ".test.csv")
     sidecar = {
         "class_counts": [int(c) for c in ds.class_counts],
         "splits": ds.splits,
         "seed": ds.seed,
         "dim": int(ds.features.shape[1]),
         "imbalance_factor": ds.imbalance_factor,
-        "test_csv": None,
+        "test_csv": None if ds.test_features is None else test_path.name,
     }
+    check_fields(SIDECAR_RULES, sidecar)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(prefix.with_suffix(".csv"),
+                 lambda fh: _write_feature_csv(fh, ds.features, ds.labels))
     if ds.test_features is not None:
-        test_path = prefix.parent / (prefix.name + ".test.csv")
         write_atomic(test_path, lambda fh: _write_feature_csv(fh, ds.test_features, ds.test_labels))
-        sidecar["test_csv"] = test_path.name
     write_json(prefix.with_suffix(".json"), sidecar)
 
 
@@ -276,9 +283,9 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Features (C-contiguous float64) and int64 labels of a dataset CSV.
 
     The body is parsed in one pass; numpy's parser is correctly rounded, so
-    every ``repr(float)`` field reads back to the same float64. Blank lines
-    are skipped. Raises :class:`DatasetFormatError` for anything else that is
-    not a header plus at least one row of finite features and an integer label.
+    every ``repr(float)`` field reads back to the same float64. Blank lines are
+    skipped and ``#`` starts no comment; :class:`DatasetFormatError` is raised for
+    anything else but a header and rows (one at least) of finite features and an integer label.
     """
     try:
         with open(path, "rb") as fh:
@@ -287,7 +294,7 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetFormatError(f"not a dataset CSV (header {header[:2]}...)")
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+                body = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
     except ValueError as exc:  # also UnicodeDecodeError
         raise DatasetFormatError(f"{path}: {exc}") from None
     if body.size == 0:
@@ -308,23 +315,20 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_sidecar(prefix: str | Path) -> dict:
     """The JSON sidecar of the dataset at ``prefix``, with ``class_counts`` as an
-    int64 array; a malformed sidecar raises :class:`DatasetFormatError` naming it."""
+    int64 array; one off ``SIDECAR_RULES`` or its joins raises :class:`DatasetFormatError`."""
     path = Path(prefix).with_suffix(".json")
     try:
         with open(path) as fh:
             sidecar = json.load(fh)
-        sidecar["class_counts"] = np.array(sidecar["class_counts"], dtype=np.int64)
-        sidecar["splits"] = list(sidecar["splits"])
-        sidecar["dim"] = int(sidecar["dim"])
-    except KeyError as exc:
-        raise DatasetFormatError(f"{path}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:
+        check_fields(SIDECAR_RULES, sidecar)
+    except ValueError as exc:  # also UnicodeDecodeError
         raise DatasetFormatError(f"{path}: {exc}") from None
-    counts = sidecar["class_counts"]
-    if counts.ndim != 1 or len(sidecar["splits"]) != len(counts):
-        raise DatasetFormatError(f"{path}: class_counts and splits must be lists of equal length")
-    if np.any(counts[:-1] < counts[1:]):
-        raise DatasetFormatError(f"{path}: class_counts must be non-increasing")
+    counts, splits = sidecar["class_counts"], sidecar["splits"]
+    if not counts or len(splits) != len(counts):
+        raise DatasetFormatError(f"{path}: splits: must hold one tag per class_counts entry, one at least, got {splits!r}")
+    if any(b > a for a, b in zip(counts, counts[1:])):
+        raise DatasetFormatError(f"{path}: class_counts: must be non-increasing, got {counts!r}")
+    sidecar["class_counts"] = np.array(counts, dtype=np.int64)
     return sidecar
 
 
@@ -342,7 +346,7 @@ def _read_checked_csv(path: Path, dim: int, k: int) -> tuple[np.ndarray, np.ndar
 
 def _test_csv_path(prefix: Path, sidecar: dict) -> Path:
     """The test CSV the sidecar names; training and scoring both need one."""
-    if not sidecar.get("test_csv"):
+    if not sidecar["test_csv"]:
         raise DatasetFormatError(f"{prefix.with_suffix('.json')}: the dataset has no test split")
     return prefix.parent / sidecar["test_csv"]
 
@@ -358,15 +362,9 @@ def load_dataset(prefix: str | Path) -> LongTailedDataset:
     features, labels = _read_checked_csv(prefix.with_suffix(".csv"), dim, k)
     test_features, test_labels = _read_checked_csv(test_path, dim, k)
     try:
-        return LongTailedDataset(
-            features=features,
-            labels=labels,
-            class_counts=sidecar["class_counts"],
-            splits=sidecar["splits"],
-            seed=sidecar.get("seed"),
-            test_features=test_features,
-            test_labels=test_labels,
-        )
+        return LongTailedDataset(features=features, labels=labels, class_counts=sidecar["class_counts"],
+                                 splits=sidecar["splits"], seed=sidecar["seed"],
+                                 test_features=test_features, test_labels=test_labels)
     except ValueError as exc:
         raise DatasetFormatError(f"{prefix.with_suffix('.json')}: {exc}") from None
 

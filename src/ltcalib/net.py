@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import FormatError, write_atomic, write_json
+from .artifacts import _COUNT, _OBJECT, FormatError, check_fields, list_of, write_atomic, write_json
 from .tensor import Tensor, relu
 
 __all__ = ["Linear", "BatchNorm", "BackboneConfig", "Backbone", "save_checkpoint", "load_checkpoint"]
@@ -281,8 +281,10 @@ def save_checkpoint(path_prefix: str | Path, arrays: dict[str, np.ndarray], meta
                                              "sha256": hashlib.sha256(raw).hexdigest()})
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+# What save_checkpoint writes in a manifest (besides sha256) and its entries.
+MANIFEST_RULES = {"meta": _OBJECT, "entries": ("a list", lambda v: isinstance(v, list)), "total": _COUNT}
+ENTRY_RULES = {"name": ("a string", lambda v: isinstance(v, str)),
+               "shape": list_of("integers in [0, 2**63)", _COUNT), "offset": _COUNT}
 
 
 def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -294,12 +296,9 @@ def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dic
     try:
         with open(path) as fh:
             manifest = json.load(fh)
+        check_fields(MANIFEST_RULES, manifest)
     except ValueError as exc:  # also UnicodeDecodeError
         raise FormatError(f"{path}: {exc}") from None
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("meta"), dict)
-            and isinstance(manifest.get("entries"), list) and _is_count(manifest.get("total"))):
-        raise FormatError(f"{path}: not a checkpoint manifest (an object with a meta object, "
-                          "an entries list and an integer total)")
     total, bin_path = manifest["total"], prefix.with_suffix(".bin")
     raw = bin_path.read_bytes()
     if len(raw) != 8 * total:
@@ -310,11 +309,8 @@ def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dic
                           "the blob and the manifest come from different saves")
     blob = np.frombuffer(raw, dtype="<f8")
     arrays, end = {}, 0
-    for entry in manifest["entries"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(map(_is_count, [*entry["shape"], entry.get("offset")]))):
-            raise FormatError(f"{path}: malformed entry {entry!r}")
+    for i, entry in enumerate(manifest["entries"]):
+        check_fields(ENTRY_RULES, entry, f"{path}: entries[{i}].", FormatError)
         name, shape, offset = entry["name"], entry["shape"], entry["offset"]
         n = math.prod(shape)
         if offset != end or end + n > total:  # save_checkpoint lays entries back to back

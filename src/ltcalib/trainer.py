@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from . import net
-from .artifacts import FormatError, write_csv, write_json
+from .artifacts import (_AT_LEAST_ONE, _BOOL, _COUNT, _OBJECT, _POSITIVE, FormatError, _number, _one_of,
+                        check_fields, list_of, write_csv, write_json)
 from .calib import PredictionLog, ece, split_accuracy
 from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, one_hot
 from .head import GeneralizedHead, HEAD_MODES, LinearClassifier
@@ -147,27 +146,11 @@ class SGD:
         values -= lr * velocity
 
 
-def _number(rule: str, in_range: Callable, integer: bool = False, null: bool = False):
-    """A row for a finite number (an integer < 2**63, or also null, if asked) in range; bools are not numbers."""
-    return (f"{'null or ' * null}{'an integer' if integer else 'a finite number'} {rule}"
-            + " and < 2**63" * integer,
-            lambda v: (null and v is None) or (
-                isinstance(v, Integral if integer else Real) and not isinstance(v, bool)
-                and abs(v) <= (2**63 - 1 if integer else sys.float_info.max) and in_range(v)))
-
-
-def _one_of(choices: tuple):
-    return f"one of {choices}", lambda v: isinstance(v, str) and v in choices
-
-
-_POSITIVE = _number("> 0", lambda v: v > 0)
-_COUNT = _number(">= 0", lambda v: v >= 0, integer=True)
-_AT_LEAST_ONE = _number(">= 1", lambda v: v >= 1, integer=True)
-_BOOL = ("a JSON boolean", lambda v: isinstance(v, bool))
+_MILESTONES = list_of("integers in [0, 2**63)", _COUNT)
 _SCHEDULE = (f"an object with 'kind' in {SCHEDULE_KINDS}, optional 'milestones' (integers in [0, 2**63)) and 'factor' (> 0)",
              lambda v: isinstance(v, dict) and set(v) <= {"kind", "milestones", "factor"}
-             and v.get("kind") in SCHEDULE_KINDS and isinstance(v.get("milestones", []), list)
-             and all(map(_COUNT[1], v.get("milestones", []))) and _POSITIVE[1](v.get("factor", 0.1)))
+             and v.get("kind") in SCHEDULE_KINDS and _MILESTONES[1](v.get("milestones", []))
+             and _POSITIVE[1](v.get("factor", 0.1)))
 
 # Every TrainConfig field -> (rule, check), walked by TrainConfig.validate.
 FIELD_RULES: dict[str, tuple[str, Callable]] = {
@@ -180,7 +163,7 @@ FIELD_RULES: dict[str, tuple[str, Callable]] = {
     "stage2_epochs": _COUNT,
     "stage2_schedule": _SCHEDULE,
     "stage2_lr_scale": _POSITIVE,
-    "hidden": ("a list of integers in [1, 2**63)", lambda v: isinstance(v, list) and all(map(_AT_LEAST_ONE[1], v))),
+    "hidden": list_of("integers in [1, 2**63)", _AT_LEAST_ONE),
     "batchnorm": _BOOL,
     "bn_momentum": _number("in (0, 1]", lambda v: 0 < v <= 1),  # as net.BatchNorm requires
     "mixup_alpha": _POSITIVE,
@@ -239,9 +222,7 @@ class TrainConfig:
     def validate(self):
         """Check every field against FIELD_RULES, then the rules that join fields;
         each failure is ``ValueError("<field>: must be <rule>, got <value>")``."""
-        for name, (rule, ok) in FIELD_RULES.items():
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
+        check_fields(FIELD_RULES, vars(self))
         for stage, epochs in ((1, self.stage1_epochs), (2, self.stage2_epochs)):
             ms = getattr(self, f"stage{stage}_schedule").get("milestones", [])
             if any(b <= a for a, b in zip(ms, ms[1:])) or any(m >= epochs for m in ms):
@@ -489,26 +470,32 @@ def save_model(model: Model, path_prefix: str | Path, meta: dict | None = None):
     net.save_checkpoint(path_prefix, arrays, meta)
 
 
+# What save_model writes in a checkpoint's meta, walked by load_model.
+META_RULES = {"backbone": _OBJECT, "num_classes": _AT_LEAST_ONE}
+BACKBONE_RULES = {"in_dim": _AT_LEAST_ONE, **{k: FIELD_RULES[k] for k in ("hidden", "batchnorm", "bn_momentum", "seed")}}
+HEAD_RULES = {"mode": FIELD_RULES["head_mode"], "r": _number("", lambda v: True), "lr_ratio_dw": FIELD_RULES["lr_ratio_dw"]}
+
+
 def load_model(path_prefix: str | Path) -> Model:
-    """A model saved by :func:`save_model`: its entries must be those its ``meta``
-    implies, in those shapes, plus at most the ``classifier.w`` that Stage-2
-    saves once stored beside an equal ``head.w``; else :class:`FormatError`."""
+    """A model saved by :func:`save_model`: its meta must pass the rules above, and
+    its entries must be those the meta implies, in those shapes, plus at most the
+    ``classifier.w`` that Stage-2 saves once stored beside an equal ``head.w``;
+    else :class:`FormatError`."""
     arrays, meta = net.load_checkpoint(path_prefix)
     manifest = Path(path_prefix).with_suffix(".json")
     total = sum(a.size for a in arrays.values())
-    try:
-        cfg = net.BackboneConfig(**meta["backbone"])
-        widths = [cfg.in_dim, *cfg.hidden, meta["num_classes"]]
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in widths):
-            raise ValueError(f"layer widths {widths!r} are not all integers >= 1")
-        if sum(a * b for a, b in zip(widths, widths[1:])) > total:  # before any layer is built
-            raise ValueError(f"layer widths {widths} need more weights than the {total}-value blob")
-        shape_w = (cfg.feature_dim, meta["num_classes"])
-        classifier = (GeneralizedHead(np.zeros(shape_w), **meta["head"]) if "head" in meta
-                      else LinearClassifier(np.zeros(shape_w)))
-        bb = net.Backbone(cfg)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{manifest}: malformed meta ({exc!r})") from None
+    check_fields(META_RULES, meta, f"{manifest}: meta.", FormatError)
+    check_fields(BACKBONE_RULES, meta["backbone"], f"{manifest}: meta.backbone.", FormatError)
+    if "head" in meta:
+        check_fields(HEAD_RULES, meta["head"], f"{manifest}: meta.head.", FormatError)
+    cfg = net.BackboneConfig(**{key: meta["backbone"][key] for key in BACKBONE_RULES})
+    widths = [cfg.in_dim, *cfg.hidden, meta["num_classes"]]
+    if sum(a * b for a, b in zip(widths, widths[1:])) > total:  # before any layer is built
+        raise FormatError(f"{manifest}: layer widths {widths} need more weights than the {total}-value blob")
+    shape_w = (cfg.feature_dim, meta["num_classes"])
+    classifier = (GeneralizedHead(np.zeros(shape_w), **{key: meta["head"][key] for key in HEAD_RULES})
+                  if "head" in meta else LinearClassifier(np.zeros(shape_w)))
+    bb = net.Backbone(cfg)
     expected = {f"backbone.{name}": a.shape for name, a in bb.state_arrays().items()}
     expected.update((name, a.shape) for name, a in classifier.state_arrays().items())
     legacy = None if "classifier.w" in expected else arrays.pop("classifier.w", None)

@@ -106,6 +106,19 @@ class TestGenData:
                      "--dim", "3", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
+    # A dataset gen-data writes must be one its own readers accept.
+    @pytest.mark.parametrize("flag, value, named", [("--spread", "1e308", "spread"),
+                                                    ("--nmax", str(10**20), "n_max"),
+                                                    ("--seed", str(2**63), "seed")])
+    def test_value_its_readers_would_refuse_exits_usage_with_one_line_and_writes_nothing(
+            self, tmp_path, capsys, flag, value, named):
+        args = {"--classes": "3", "--nmax": "10", "--nmin": "2", "--dim": "3", flag: value}
+        code = main(["gen-data", *[x for kv in args.items() for x in kv], "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: ") and named in err and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_artifacts_present(self, workspace):
@@ -384,6 +397,10 @@ MALFORMED = {
     "fractional_label": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "1.5"), *lines[2:]]),
     "label_out_of_range": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "3"), *lines[2:]]),
     "negative_label": (".test.csv", lambda lines: [lines[0], _set_field(lines[1], -1, "-1"), *lines[2:]]),
+    "comment_row": (".test.csv", lambda lines: [lines[0], "#" + lines[1], *lines[2:]]),
+    # Finite, but the checkpoint's forward pass overflows it to a NaN probability.
+    "feature_overflowing_the_model": (".test.csv",
+                                      lambda lines: [lines[0], _set_field(lines[1], 0, "1.7e308"), *lines[2:]]),
     "test_width_differs_from_train": (
         ".test.csv", lambda lines: ["feat_0,feat_1,feat_2,feat_3,label"]
         + [row.replace(",", ",0.5,", 1) for row in lines[1:]]),
@@ -393,6 +410,7 @@ MALFORMED = {
 MALFORMED_TRAIN_CSV = {
     "inf_feature_in_train_csv": (".csv", lambda lines: [lines[0], _set_field(lines[1], 0, "inf"), *lines[2:]]),
     "not_a_dataset_csv": (".csv", lambda lines: ["a,b", "1,2"]),
+    "comment_row": (".csv", lambda lines: [*lines[:2], "#" + lines[2], *lines[3:]]),
 }
 
 
@@ -420,20 +438,32 @@ class TestMalformedDataset:
         assert err.startswith(f"i/o error: {prefix}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("changes", [{"dim": 4}, {"class_counts": [60, 6]}, None,
-                                         {"class_counts": [6, 19, 60]}],
+                                         {"class_counts": [6, 19, 60]},
+                                         {"class_counts": [5.5, 2, 1]}, {"class_counts": [5, 2, -1]},
+                                         {"class_counts": [1e30, 10, 4]}, {"class_counts": []},
+                                         {"splits": ["many", "x", "few"]}, {"splits": "abc"},
+                                         {"dim": "3"}, {"dim": 4.7}, {"seed": "s"},
+                                         {"imbalance_factor": "x"}, {"test_csv": 5},
+                                         {"test_csv": ["x"]}, {"test_csv": "bad\x00.csv"}],
                              ids=["dim_differs_from_csvs", "fewer_counts_than_splits", "not_json",
-                                  "increasing_class_counts"])
+                                  "increasing_class_counts", "fractional_count", "negative_count",
+                                  "count_beyond_int64", "no_classes", "unknown_split_tag",
+                                  "splits_a_string", "dim_a_string", "fractional_dim", "seed_a_string",
+                                  "imbalance_factor_a_string", "test_csv_a_number", "test_csv_a_list",
+                                  "test_csv_with_nul"])
     def test_malformed_sidecar_exits_io(self, workspace, tmp_path, capsys, changes):
         prefix = _copy_dataset(workspace, tmp_path)
         if changes is None:
             prefix.with_suffix(".json").write_text("{not json")
         else:
             _edit_sidecar(prefix.with_suffix(".json"), **changes)
-        code = main(["eval", "--checkpoint", str(workspace / "run" / "model"),
-                     "--data", str(prefix)])
-        err = capsys.readouterr().err
-        assert code == EXIT_IO
-        assert err.startswith(f"i/o error: {prefix}.") and err.count("\n") == 1, err
+        for command in ("eval", "train"):
+            code = main(_command_argv(command, workspace, prefix, tmp_path / "out"))
+            err = capsys.readouterr().err
+            assert code == EXIT_IO, (command, err)
+            assert err.startswith(f"i/o error: {prefix}.") and err.count("\n") == 1, (command, err)
+            assert changes is None or all(key in err for key in changes), (command, err)
+            assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_malformed_train_csv_fails_before_training(self, workspace, tmp_path, capsys):
         prefix = _copy_dataset(workspace, tmp_path)
@@ -502,6 +532,93 @@ class TestScoringReads:
         Path(f"{prefix}.test.csv").unlink()
         assert _score("weight-norms", workspace, prefix, tmp_path / "weight-norms.sidecar_only",
                       capsys) == expected["weight-norms"]
+
+
+def _eval_on(workspace, sidecar: dict, test_csv: bytes) -> tuple[int, str, str]:
+    """eval of the workspace checkpoint on a dataset holding only this sidecar and test CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "bad"
+        prefix.with_suffix(".json").write_text(json.dumps({**sidecar, "test_csv": "bad.test.csv"}))
+        Path(f"{prefix}.test.csv").write_bytes(test_csv)
+        return _run(["eval", "--checkpoint", str(workspace / "run" / "model"), "--data", str(prefix)])
+
+
+SPLIT_TAGS = ("many", "medium", "few")
+ASCII = st.characters(min_codepoint=32, max_codepoint=126)  # printable, so one CSV line stays one
+CSV_FIELDS = st.floats().map(repr) | st.integers(-3, 5).map(str) | st.text(ASCII, max_size=8)
+
+
+def _as_float(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+class TestDatasetFuzz:
+    # Any one sidecar key set to any JSON value. eval prints the split table,
+    # so only a valid relabelling of the 3 classes' splits may change its output.
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(sorted(data_mod.SIDECAR_RULES)), value=JSON_VALUES)
+    @example(key="splits", value=["few", "few", "few"])
+    @example(key="class_counts", value=[3, 2, 2])
+    @example(key="seed", value=None)
+    def test_any_json_value_for_any_sidecar_key_fails_cleanly_or_scores_the_same(self, workspace, key,
+                                                                                 value):
+        sidecar = json.loads((workspace / "blobs.json").read_text())
+        test_csv = (workspace / "blobs.test.csv").read_bytes()
+        code, out, err = _eval_on(workspace, {**sidecar, key: value}, test_csv)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            relabelled = (key == "splits" and isinstance(value, list) and len(value) == 3
+                          and all(isinstance(tag, str) and tag in SPLIT_TAGS for tag in value))
+            assert err == "" and (relabelled or out == _eval_on(workspace, sidecar, test_csv)[1])
+        else:
+            assert code in (EXIT_IO, EXIT_SHAPE) and err.count("\n") == 1, (code, err)
+            assert err.startswith("i/o error: ") and out == "", err
+
+    # One mutation of the test CSV's lines: the header, a field, a row's width,
+    # or an added blank, truncated or '#' line. Exit 0 is allowed only for a
+    # file that stays valid: a changed finite feature, a label changed to
+    # another class, a header that still reads feat_*,...,label, or an added
+    # blank line (which must also leave eval's output as it was).
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["header", "field", "width", "blank", "truncate", "comment"]),
+           data=st.data())
+    def test_any_one_test_csv_mutation_fails_cleanly_or_leaves_a_valid_file(self, workspace, kind, data):
+        sidecar = json.loads((workspace / "blobs.json").read_text())
+        lines = (workspace / "blobs.test.csv").read_bytes().decode().split("\r\n")[:-1]
+        row = data.draw(st.integers(1, len(lines) - 1), label="row")
+        valid = same = False
+        if kind == "header":
+            lines[0] = data.draw(st.text(ASCII, max_size=40), label="header")
+            names = lines[0].split(",")
+            valid = len(names) == 4 and names[0].startswith("feat_") and names[-1] == "label"
+        elif kind == "field":
+            col = data.draw(st.integers(0, 3), label="col")
+            value = data.draw(CSV_FIELDS, label="value")
+            lines[row] = _set_field(lines[row], col, value)
+            number = _as_float(value) if "," not in value else None
+            valid = col < 3 or (number is not None and number in (0.0, 1.0, 2.0))
+        elif kind == "width":
+            lines[row] = (lines[row].rsplit(",", 1)[0] if data.draw(st.booleans(), label="drop")
+                          else lines[row] + ",0.5")
+        elif kind == "blank":
+            lines.insert(row, "")
+            valid = same = True
+        elif kind == "truncate":
+            lines[row] = lines[row][: data.draw(st.integers(1, len(lines[row]) - 1), label="keep")]
+        else:
+            lines.insert(row, "#" + data.draw(st.text(ASCII, max_size=12), label="comment"))
+        code, out, err = _eval_on(workspace, sidecar, ("\r\n".join(lines) + "\r\n").encode())
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            assert valid and err == "", (kind, out)
+            if same:
+                assert out == _eval(workspace / "run" / "model", workspace)[1]
+        else:
+            assert code == EXIT_IO and err.count("\n") == 1, (kind, code, err)
+            assert err.startswith("i/o error: ") and out == "", err
 
 
 def _edit_manifest(path, edit):
@@ -622,6 +739,20 @@ class TestCheckpointAgainstMeta:
         code, out, err = _eval(prefix, workspace)
         _assert_io_error_line(code, err, prefix)
         assert "'backbone.bn0." in err and out == ""
+
+    @pytest.mark.parametrize("group, key, value", [("backbone", "batchnorm", "no"),
+                                                   ("backbone", "bn_momentum", True),
+                                                   ("head", "lr_ratio_dw", -5),
+                                                   ("backbone", "in_dim", 0),
+                                                   ("head", "r", float("nan"))])
+    def test_meta_value_outside_its_rule_exits_io_naming_the_key(self, workspace, checkpoints, tmp_path,
+                                                                  group, key, value):
+        prefix = _copy_checkpoint(checkpoints["stage2"], tmp_path)
+        _edit_manifest(prefix.with_suffix(".json"),
+                       lambda m: {**m, "meta": {**m["meta"], group: {**m["meta"][group], key: value}}})
+        code, out, err = _eval(prefix, workspace)
+        _assert_io_error_line(code, err, prefix)
+        assert f": meta.{group}.{key}: must be " in err and out == ""
 
     @pytest.mark.parametrize("hidden", [[4_000_000], [10**14]], ids=["4e6", "1e14"])
     def test_claimed_width_is_checked_before_any_layer_is_built(self, workspace, checkpoints, tmp_path,

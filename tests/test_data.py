@@ -1,6 +1,7 @@
 import csv
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,11 @@ class TestProfile:
         with pytest.raises(ValueError):
             make_longtail_profile(100, 10, 1)
 
+    @pytest.mark.parametrize("n_max", [2**63, 10**20])
+    def test_n_max_beyond_int64_rejected(self, n_max):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            make_longtail_profile(n_max, 5, 3)
+
 
 class TestSplits:
     def test_thresholds(self):
@@ -80,6 +86,12 @@ class TestBlobs:
     def test_non_finite_spread_rejected(self, spread):
         with pytest.raises(ValueError, match="spread"):
             gen_gaussian_blobs([10, 10], dim=4, spread=spread, seed=0)
+
+    def test_spread_that_overflows_a_feature_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spread 1e\\+308"):
+                gen_gaussian_blobs([10, 10], dim=4, spread=1e308, seed=0)
 
 
 class TestSampler:
@@ -287,5 +299,13 @@ class TestAtomicSave:
         ds = LongTailedDataset(features=np.zeros((2, 3)), labels=np.array([0, 0]),
                                class_counts=np.array([2, 0]), splits=["few", "few"])
         with pytest.raises(ValueError, match="empty class"):
+            save_dataset(ds, tmp_path / "d")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value", [("seed", 2**63), ("splits", ["few", "rare"])])
+    def test_sidecar_that_load_sidecar_refuses_is_rejected_before_any_write(self, tmp_path, field, value):
+        ds = gen_gaussian_blobs([4, 2], dim=3, spread=0.4, seed=7)
+        setattr(ds, field, value)
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
             save_dataset(ds, tmp_path / "d")
         assert list(tmp_path.iterdir()) == []
