@@ -180,8 +180,8 @@ def cmd_train(args) -> int:
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     result = trainer_mod.run(cfg, ds)
+    trainer_mod.write_metrics_csv(result["curves"], out / "metrics.csv")  # refuses a non-finite curve first
     trainer_mod.save_model(result["model"], out / "model", meta={"class_counts": [int(c) for c in ds.class_counts]})
-    trainer_mod.write_metrics_csv(result["curves"], out / "metrics.csv")
     if cfg.stage2_loss == "las" and cfg.stage2_epochs > 0:
         SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1, cfg.eps_k,
                                       cfg.las_p).to_json(out / "schedule.json")

@@ -41,8 +41,8 @@ def make_longtail_profile(n_max: int, n_min: int, k: int) -> np.ndarray:
     if k < 2 or not 1 <= n_min <= n_max < 2**63:
         raise ValueError(f"require k >= 2 and 2**63 > n_max >= n_min >= 1, got k={k}, n_max={n_max}, n_min={n_min}")
     beta = n_max / n_min
-    j = np.arange(k)
-    counts = np.rint(n_max * beta ** (-j / (k - 1))).astype(np.int64)
+    rounded = np.rint(n_max * beta ** (-np.arange(k) / (k - 1)))
+    counts = np.clip(np.minimum(rounded, 2.0**63 - 1024).astype(np.int64), n_min, n_max)  # the largest float below 2**63
     counts[0] = n_max
     counts[-1] = n_min
     return counts

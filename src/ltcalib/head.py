@@ -51,9 +51,6 @@ class LinearClassifier:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"classifier.w": self.w.values}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        self.w.values = arrays["classifier.w"].copy()
-
 
 class GeneralizedHead:
     def __init__(self, w: np.ndarray, mode: str = "generalized", r: float | None = None,
@@ -134,9 +131,3 @@ class GeneralizedHead:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {"head.w": self.w, "head.dw": self.dw.values, "head.s": self.s.values,
                 "head.r": np.array([self.r])}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        self.w = arrays["head.w"].copy()
-        self.dw.values = arrays["head.dw"].copy()
-        self.s.values = arrays["head.s"].copy()
-        self.r = float(arrays["head.r"][0])

@@ -243,16 +243,6 @@ class Backbone:
                 out[f"bn{i}.running_var"] = bn.running_var
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        for i, (lin, bn) in enumerate(zip(self.linears, self.norms)):
-            lin.weight.values = arrays[f"linear{i}.weight"].copy()
-            lin.bias.values = arrays[f"linear{i}.bias"].copy()
-            if bn is not None:
-                bn.scale.values = arrays[f"bn{i}.scale"].copy()
-                bn.shift.values = arrays[f"bn{i}.shift"].copy()
-                bn.running_mean = arrays[f"bn{i}.running_mean"].copy()
-                bn.running_var = arrays[f"bn{i}.running_var"].copy()
-
 
 def bn_shift_stats(backbone: Backbone, sampler, steps: int, batch: int) -> None:
     """Refresh BN running statistics under a sampler with everything else frozen."""
@@ -289,8 +279,8 @@ ENTRY_RULES = {"name": ("a string", lambda v: isinstance(v, str)),
 
 def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays and meta of a checkpoint; a manifest or blob that does not hold
-    one (its entries must tile the blob in order), or a blob whose SHA-256 is
-    not the manifest's, raises :class:`FormatError` naming the file."""
+    one (its entries must tile the blob in order, with finite values), or a blob
+    whose SHA-256 is not the manifest's, raises :class:`FormatError` naming the file."""
     prefix = Path(path_prefix)
     path = prefix.with_suffix(".json")
     try:
@@ -319,6 +309,8 @@ def load_checkpoint(path_prefix: str | Path) -> tuple[dict[str, np.ndarray], dic
         if name in arrays:
             raise FormatError(f"{path}: duplicate entry {name!r}")
         arrays[name] = blob[end : end + n].reshape(shape).astype(np.float64)
+        if not np.isfinite(arrays[name]).all():
+            raise FormatError(f"{bin_path}: entry {name!r} holds a non-finite value")
         end += n
     if end != total:
         raise FormatError(f"{path}: entries cover {end} of the {total}-value blob")

@@ -303,7 +303,18 @@ class Model:
         softmax is taken over the logits matrix in place; ``x`` is not changed."""
         return softmax_inplace(self.classifier.eval_logits(self.backbone.frozen_features(x, net.EVAL)))
 
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The checkpoint's entries by name; each but ``head.r`` is the model's own array."""
+        return {**{f"backbone.{k}": a for k, a in self.backbone.state_arrays().items()}, **self.classifier.state_arrays()}
 
+
+# numpy's overflow warnings stay quiet in training and evaluation: a non-finite
+# loss is reported once, as the DivergenceError that names where it happened,
+# and a non-finite metric as the ValueError of write_metrics_csv.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+@np.errstate(**_QUIET)
 def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     """Accuracy, ECE, and split accuracies on the balanced test set."""
     probs = model.predict_probs(ds.test_features)
@@ -314,9 +325,7 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     return out
 
 
-# numpy's overflow warnings stay quiet in training: a non-finite loss is
-# reported once, as the DivergenceError that names where it happened.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@np.errstate(**_QUIET)
 def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
          stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
          mix_tag: int, targets, metrics: list | None) -> Model:
@@ -455,19 +464,10 @@ def write_metrics_csv(metrics: list[dict], path: str | Path):
 
 
 def save_model(model: Model, path_prefix: str | Path, meta: dict | None = None):
-    arrays = {f"backbone.{k}": v for k, v in model.backbone.state_arrays().items()}
-    arrays.update(model.classifier.state_arrays())
-    meta = dict(meta or {})
-    meta["backbone"] = {"in_dim": model.backbone.cfg.in_dim,
-                        "hidden": list(model.backbone.cfg.hidden),
-                        "batchnorm": model.backbone.cfg.batchnorm,
-                        "bn_momentum": model.backbone.cfg.bn_momentum,
-                        "seed": model.backbone.cfg.seed}
-    meta["num_classes"] = int(model.classifier.w.shape[1])
+    meta = dict(meta or {}, backbone=asdict(model.backbone.cfg), num_classes=int(model.classifier.w.shape[1]))
     if isinstance(model.classifier, GeneralizedHead):
-        meta["head"] = {"mode": model.classifier.mode, "r": model.classifier.r,
-                        "lr_ratio_dw": model.classifier.lr_ratio_dw}
-    net.save_checkpoint(path_prefix, arrays, meta)
+        meta["head"] = {key: getattr(model.classifier, key) for key in HEAD_RULES}
+    net.save_checkpoint(path_prefix, model.state_arrays(), meta)
 
 
 # What save_model writes in a checkpoint's meta, walked by load_model.
@@ -478,9 +478,9 @@ HEAD_RULES = {"mode": FIELD_RULES["head_mode"], "r": _number("", lambda v: True)
 
 def load_model(path_prefix: str | Path) -> Model:
     """A model saved by :func:`save_model`: its meta must pass the rules above, and
-    its entries must be those the meta implies, in those shapes, plus at most the
-    ``classifier.w`` that Stage-2 saves once stored beside an equal ``head.w``;
-    else :class:`FormatError`."""
+    its entries must be the :meth:`Model.state_arrays` of the model meta builds, in
+    their shapes and with meta's ``head.r``, plus at most the ``classifier.w`` that
+    Stage-2 saves once stored beside an equal ``head.w``; else :class:`FormatError`."""
     arrays, meta = net.load_checkpoint(path_prefix)
     manifest = Path(path_prefix).with_suffix(".json")
     total = sum(a.size for a in arrays.values())
@@ -495,20 +495,19 @@ def load_model(path_prefix: str | Path) -> Model:
     shape_w = (cfg.feature_dim, meta["num_classes"])
     classifier = (GeneralizedHead(np.zeros(shape_w), **{key: meta["head"][key] for key in HEAD_RULES})
                   if "head" in meta else LinearClassifier(np.zeros(shape_w)))
-    bb = net.Backbone(cfg)
-    expected = {f"backbone.{name}": a.shape for name, a in bb.state_arrays().items()}
-    expected.update((name, a.shape) for name, a in classifier.state_arrays().items())
-    legacy = None if "classifier.w" in expected else arrays.pop("classifier.w", None)
-    if unmatched := sorted(arrays.keys() ^ expected.keys()):
-        raise FormatError(f"{manifest}: " + (f"no entry {unmatched[0]!r}" if unmatched[0] in expected
+    model = Model(net.Backbone(cfg), classifier)
+    live = model.state_arrays()
+    legacy = None if "classifier.w" in live else arrays.pop("classifier.w", None)
+    if unmatched := sorted(arrays.keys() ^ live.keys()):
+        raise FormatError(f"{manifest}: " + (f"no entry {unmatched[0]!r}" if unmatched[0] in live
                                              else f"entry {unmatched[0]!r} is not implied by meta"))
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
+    for name, a in live.items():  # filled in place; the model is dropped if a check fails
+        if arrays[name].shape != a.shape:
             raise FormatError(f"{manifest}: {name} has shape {list(arrays[name].shape)}, "
-                              f"meta implies {list(shape)}")
-    if legacy is not None and (legacy.shape, legacy.tobytes()) != (expected["head.w"], arrays["head.w"].tobytes()):
+                              f"meta implies {list(a.shape)}")
+        a[...] = arrays[name]
+    if legacy is not None and (legacy.shape, legacy.tobytes()) != (live["head.w"].shape, arrays["head.w"].tobytes()):
         raise FormatError(f"{manifest}: classifier.w differs from head.w")
-    bb.load_state_arrays({name[len("backbone."):]: a for name, a in arrays.items()
-                          if name.startswith("backbone.")})
-    classifier.load_state_arrays(arrays)
-    return Model(bb, classifier)
+    if "head.r" in live and arrays["head.r"][0] != classifier.r:
+        raise FormatError(f"{manifest}: entry 'head.r' is {arrays['head.r'].item()!r}, meta.head.r is {classifier.r!r}")
+    return model

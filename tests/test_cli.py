@@ -1,10 +1,12 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -109,6 +111,7 @@ class TestGenData:
     # A dataset gen-data writes must be one its own readers accept.
     @pytest.mark.parametrize("flag, value, named", [("--spread", "1e308", "spread"),
                                                     ("--nmax", str(10**20), "n_max"),
+                                                    ("--nmax", str(2**63 - 1), "too big"),
                                                     ("--seed", str(2**63), "seed")])
     def test_value_its_readers_would_refuse_exits_usage_with_one_line_and_writes_nothing(
             self, tmp_path, capsys, flag, value, named):
@@ -215,6 +218,30 @@ class TestTrain:
         assert re.fullmatch(r"divergence: non-finite loss at stage [12], epoch \d+, step \d+\n",
                             proc.stderr), proc.stderr
         assert not (tmp_path / "o" / "model.json").exists()
+
+    # A: a learning rate that leaves finite weights near 3e299, whose forward
+    # pass overflows on every test row. B: a test row of 1.7e308 features.
+    @pytest.mark.parametrize("probe", ["lr_1e300", "test_row_1.7e308"])
+    def test_non_finite_metric_exits_usage_with_one_stderr_line_and_writes_no_file(self, tmp_path, probe):
+        assert main(["gen-data", "--classes", "3", "--nmax", "60", "--nmin", "6", "--dim", "3",
+                     "--seed", "3", "--out", str(tmp_path / "d")]) == EXIT_OK
+        config = {"lr": 1e300, "stage1_epochs": 1, "stage1_schedule": {"kind": "cosine"}, "stage2_epochs": 0,
+                  "hidden": [8], "batch_size": 16, "batches_per_epoch": 1, "seed": 1}
+        if probe != "lr_1e300":
+            config = TINY_CONFIG
+            test_csv = tmp_path / "d.test.csv"
+            lines = test_csv.read_bytes().split(b"\r\n")
+            lines[1] = b",".join([b"1.7e308"] * 3 + lines[1].split(b",")[-1:])
+            test_csv.write_bytes(b"\r\n".join(lines))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "o").mkdir()
+        # A child process, so that numpy's warnings reach stderr as in a shell.
+        proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", "train", "--config", str(tmp_path / "cfg.json"),
+                               "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("config error: metrics: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_width_too_large_to_allocate_exits_usage_with_one_line(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "huge.json"
@@ -631,6 +658,17 @@ def _move_last_entry_past_blob(manifest):
     return manifest
 
 
+def _set_blob_value(path, name, value):
+    """Write ``value`` over the first value of entry ``name`` in the blob at
+    ``path``, and the new blob's SHA-256 into the manifest beside it."""
+    manifest = json.loads(path.with_suffix(".json").read_text())
+    offset = next(e["offset"] for e in manifest["entries"] if e["name"] == name)
+    raw = bytearray(path.read_bytes())
+    raw[8 * offset : 8 * offset + 8] = struct.pack("<d", value)
+    path.write_bytes(raw)
+    path.with_suffix(".json").write_text(json.dumps(dict(manifest, sha256=hashlib.sha256(raw).hexdigest())))
+
+
 # name -> (file to edit, edit); the workspace model has hidden [8] and 3 classes.
 MALFORMED_CHECKPOINT = {
     "truncated_bin": (".bin", lambda path: path.write_bytes(path.read_bytes()[:-12])),
@@ -647,6 +685,8 @@ MALFORMED_CHECKPOINT = {
     "entry_shape_transposed": (".json", lambda path: _edit_manifest(
         path, lambda m: dict(m, entries=[dict(e, shape=e["shape"][::-1]) if e["name"] == "head.w" else e
                                          for e in m["entries"]]))),
+    "head_r_differs_from_meta": (".bin", lambda path: _set_blob_value(path, "head.r", 5.0)),
+    "non_finite_entry": (".bin", lambda path: _set_blob_value(path, "backbone.linear0.weight", float("nan"))),
 }
 
 

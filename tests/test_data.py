@@ -48,6 +48,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             make_longtail_profile(100, 10, 1)
 
+    # n_max rounds to the float 2**63, which no int64 holds.
+    @pytest.mark.parametrize("n_max, n_min, k", [(2**63 - 1, 1, 3), (2**63 - 1, 2**63 - 2, 3),
+                                                 (2**63 - 1, 2**62, 10)])
+    def test_n_max_just_below_2_63_stays_in_range_without_a_warning(self, n_max, n_min, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = make_longtail_profile(n_max, n_min, k)
+        assert counts[0] == n_max and counts[-1] == n_min and len(counts) == k
+        assert np.all(counts[:-1] >= counts[1:]) and np.all((counts >= n_min) & (counts <= n_max))
+
     @pytest.mark.parametrize("n_max", [2**63, 10**20])
     def test_n_max_beyond_int64_rejected(self, n_max):
         with pytest.raises(ValueError, match="2\\*\\*63"):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -461,6 +462,20 @@ class TestArtifacts:
         b = back.predict_probs(ds.test_features)
         assert a.tobytes() == b.tobytes()
         assert evaluate(back, ds) == res["final"]
+
+    @pytest.mark.parametrize("stage2_epochs", [0, 2], ids=["stage1", "stage2"])
+    def test_two_loads_share_no_array_and_hold_the_saved_bytes(self, ds, tmp_path, stage2_epochs):
+        model = run(tiny_cfg(stage2_epochs=stage2_epochs), ds)["model"]
+        save_model(model, tmp_path / "model")
+        a, b = load_model(tmp_path / "model"), load_model(tmp_path / "model")
+        saved = model.state_arrays()
+        for loaded in (a, b):
+            assert {k: v.tobytes() for k, v in loaded.state_arrays().items()} == {k: v.tobytes() for k, v in saved.items()}
+        for x in a.state_arrays().values():
+            assert not any(np.shares_memory(x, y) for y in b.state_arrays().values())
+
+    def test_backbone_meta_rules_name_every_backbone_config_field(self):
+        assert set(trainer.BACKBONE_RULES) == {f.name for f in dataclasses.fields(net.BackboneConfig)}
 
 
 class TestPredictProbs:
