@@ -11,7 +11,7 @@ Runs in well under a minute on one core.
 
 import numpy as np
 
-from ltcalib.calib import PredictionLog, ece, reliability_bins
+from ltcalib.calib import ece, reliability_bins
 from ltcalib.data import gen_gaussian_blobs, make_longtail_profile
 from ltcalib.trainer import TrainConfig, run
 
@@ -30,7 +30,7 @@ for n_min in (500, 50, 5):  # beta = 1, 10, 100
     ds = gen_gaussian_blobs(counts, dim=16, spread=0.45, seed=0)
     result = run(TrainConfig(**CFG), ds)
     model = result["model"]
-    log = PredictionLog.from_probs(model.predict_probs(ds.test_features), ds.test_labels)
+    log = model.prediction_log(ds.test_features, ds.test_labels)
     report = ece(log, 15)
     print(f"{ds.imbalance_factor:6.0f} {result['final']['accuracy']:10.2f} "
           f"{report.ece_percent:8.2f} {report.direction:>16}")

@@ -27,22 +27,26 @@ __all__ = [
 
 @dataclass
 class PredictionLog:
-    """Per-sample prediction records; ``probs`` is optional full probability rows."""
+    """Per-sample prediction records, the three numbers per row that every report
+    reads; ``p_true`` is optional, and only :func:`probability_distribution` needs it."""
 
     confidence: np.ndarray  # max predicted probability
     predicted: np.ndarray  # argmax class
     label: np.ndarray  # true class
-    probs: np.ndarray | None = None  # (N, K) rows, when logged
+    p_true: np.ndarray | None = None  # probability of the true class, when logged
 
     @classmethod
     def from_probs(cls, probs: np.ndarray, labels: np.ndarray) -> "PredictionLog":
+        """The records of (N, K) probability rows; the rows themselves are not kept."""
         probs = np.asarray(probs, dtype=np.float64)
+        labels = np.asarray(labels)
+        rows = np.arange(len(labels))
         predicted = probs.argmax(axis=1)
         return cls(
-            confidence=probs[np.arange(len(labels)), predicted],
+            confidence=probs[rows, predicted],
             predicted=predicted,
-            label=np.asarray(labels),
-            probs=probs,
+            label=labels,
+            p_true=probs[rows, labels],
         )
 
     def __len__(self):
@@ -154,13 +158,12 @@ def split_accuracy(log: PredictionLog, splits: list[str]) -> dict[str, float | N
 
 def probability_distribution(log: PredictionLog, splits: list[str]) -> dict[str, dict]:
     """True-class probability samples and summary stats per split."""
-    if log.probs is None:
-        raise ValueError("full probability rows were not logged")
-    p_true = log.probs[np.arange(len(log)), log.label]
+    if log.p_true is None:
+        raise ValueError("true-class probabilities were not logged")
     per_sample = np.asarray(splits)[log.label]
     out = {}
     for name in ("many", "medium", "few"):
-        vals = p_true[per_sample == name]
+        vals = log.p_true[per_sample == name]
         out[name] = {
             "samples": vals,
             "mean": float(vals.mean()) if len(vals) else None,

@@ -155,12 +155,12 @@ def _scored(args) -> tuple[dict, PredictionLog]:
     sidecar, features, labels = data_mod.load_test_split(args.data)
     model = _load_model_for(sidecar, args.checkpoint)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probs = model.predict_probs(features)
-    if np.isnan(probs.sum()):  # a softmax row of finite logits is finite
-        row = np.isnan(probs).any(axis=1).argmax() + 1
-        raise data_mod.DatasetFormatError(f"{Path(args.data).parent / sidecar['test_csv']}: data row {row} "
+        log = model.prediction_log(features, labels)
+    # A softmax row of finite logits is finite, and argmax picks a row's NaN when it holds one.
+    if (nan := np.flatnonzero(np.isnan(log.confidence))).size:
+        raise data_mod.DatasetFormatError(f"{Path(args.data).parent / sidecar['test_csv']}: data row {nan[0] + 1} "
                                           "overflows the checkpoint's forward pass to a NaN probability")
-    return sidecar, PredictionLog.from_probs(probs, labels)
+    return sidecar, log
 
 
 def cmd_gen_data(args) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,17 +113,24 @@ def gen_gaussian_blobs(
     check_fields({"dim": _number(">= 2", lambda v: v >= 2, integer=True), "spread": _POSITIVE,
                   "test_per_class": _AT_LEAST_ONE}, {"dim": dim, "spread": spread, "test_per_class": test_per_class})
     k = len(counts)
+    total = sum(counts.tolist())  # Python ints: an int64 sum would wrap
+    if total >= 2**63:
+        raise ValueError(f"class counts sum to {total} rows, 2**63 or more: the array is too big")
     centers = _class_centers(k, dim, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD4]))
-
     test_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E]))
+    features, test_features = np.empty((total, dim)), np.empty((k * test_per_class, dim))
     with np.errstate(over="ignore"):  # reported below as the ValueError that names the spread
-        features = np.concatenate(
-            [centers[j] + spread * rng.standard_normal((int(counts[j]), dim)) for j in range(k)]
-        )
-        test_features = np.concatenate(
-            [centers[j] + spread * test_rng.standard_normal((test_per_class, dim)) for j in range(k)]
-        )
+        # Class j's rows are centers[j] + spread * z, the classes drawn in turn;
+        # z is drawn into the rows, then scaled and shifted there.
+        start = 0
+        for j, n in enumerate(counts.tolist()):
+            for rows, draw in ((features[start:start + n], rng),
+                               (test_features[j * test_per_class:(j + 1) * test_per_class], test_rng)):
+                draw.standard_normal(out=rows)
+                rows *= spread
+                rows += centers[j]
+            start += n
     if not (np.isfinite(features).all() and np.isfinite(test_features).all()):
         raise ValueError(f"spread {spread!r} makes a feature non-finite; it must be smaller")
     labels = np.repeat(np.arange(k), counts)
@@ -279,6 +287,18 @@ def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
     write_json(prefix.with_suffix(".json"), sidecar)
 
 
+def _data_row_message(message: str) -> str:
+    """An ``np.loadtxt`` error with its row renumbered as a 1-based data row: loadtxt
+    counts a bad value's ``row R, column C`` from 0 and a width change's ``row R``
+    from 1, blank lines uncounted in both. The last match is loadtxt's own."""
+    matches = list(re.finditer(r"at row (\d+)(, column \d+)?", message))
+    if not matches:
+        return message
+    found = matches[-1]
+    row = int(found[1]) + (found[2] is not None)
+    return f"{message[:found.start()]}at data row {row}{found[2] or ''}{message[found.end():]}"
+
+
 def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Features (C-contiguous float64) and int64 labels of a dataset CSV.
 
@@ -296,7 +316,7 @@ def _read_feature_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 body = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
     except ValueError as exc:  # also UnicodeDecodeError
-        raise DatasetFormatError(f"{path}: {exc}") from None
+        raise DatasetFormatError(f"{path}: {_data_row_message(str(exc))}") from None
     if body.size == 0:
         raise DatasetFormatError(f"{path}: no data rows")
     if body.shape[1] != len(header):

@@ -250,6 +250,22 @@ class TrainConfig:
             return cls.from_dict(json.load(fh))
 
 
+# Rows per block of Model.prediction_log. BLAS gives a row bits that depend on
+# the rows multiplied with it: with OpenBLAS 0.3.31 (Haswell), blocks of 625
+# rows or fewer of a 16->100 head, or of 75 or fewer of a 32->16 layer, round
+# differently from the same rows of a 20,000-row product, and every larger size
+# tried, up to 4,099 rows, matched it. (Over 10,000 rows a 16->10 head takes a
+# BLAS path that no block takes.) The partition depends on the row count alone,
+# so scoring stays deterministic.
+_SCORE_BLOCK_ROWS = 2048
+
+
+def _score_block_ends(n: int) -> list[int]:
+    """The end row of each block of ``n`` scored rows: blocks of ``_SCORE_BLOCK_ROWS``
+    rows, the remainder folded into the last, so fewer than twice that is one block."""
+    return [_SCORE_BLOCK_ROWS * i for i in range(1, n // _SCORE_BLOCK_ROWS)] + [n]
+
+
 class Model:
     """Backbone plus classifier: the Stage-1 :class:`LinearClassifier`, or the
     Stage-2 :class:`GeneralizedHead` built from its weight. The backbone learns
@@ -303,6 +319,21 @@ class Model:
         softmax is taken over the logits matrix in place; ``x`` is not changed."""
         return softmax_inplace(self.classifier.eval_logits(self.backbone.frozen_features(x, net.EVAL)))
 
+    def prediction_log(self, x: np.ndarray, labels: np.ndarray) -> PredictionLog:
+        """The :class:`PredictionLog` of :meth:`predict_probs` on ``x``, each block of
+        rows that ``_score_block_ends`` gives reduced to its records, so that no
+        (N, K) probability matrix is held; ``x`` is not changed."""
+        # The records are copied into arrays made up front, so that no block's
+        # records outlive it: kept in a list and concatenated at the end, they
+        # fragmented glibc's heap, and score-csv's peak RSS rose from 57 to 62 MB.
+        n = len(x)
+        log = PredictionLog(np.empty(n), np.empty(n, dtype=np.intp), np.asarray(labels), np.empty(n))
+        ends = _score_block_ends(n)
+        for a, b in zip([0, *ends], ends):
+            block = PredictionLog.from_probs(self.predict_probs(x[a:b]), labels[a:b])
+            log.confidence[a:b], log.predicted[a:b], log.p_true[a:b] = block.confidence, block.predicted, block.p_true
+        return log
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The checkpoint's entries by name; each but ``head.r`` is the model's own array."""
         return {**{f"backbone.{k}": a for k, a in self.backbone.state_arrays().items()}, **self.classifier.state_arrays()}
@@ -317,8 +348,7 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 @np.errstate(**_QUIET)
 def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     """Accuracy, ECE, and split accuracies on the balanced test set."""
-    probs = model.predict_probs(ds.test_features)
-    log = PredictionLog.from_probs(probs, ds.test_labels)
+    log = model.prediction_log(ds.test_features, ds.test_labels)
     report = ece(log, bins)
     out = {"accuracy": float(log.correct.mean() * 100.0), "ece": report.ece_percent}
     out.update({f"acc_{k}": v for k, v in split_accuracy(log, ds.splits).items()})

@@ -47,6 +47,40 @@ class TestSummarize:
         assert s["x.run_s"]["resolved"]
 
 
+class TestAcceptanceRule:
+    def test_gain_needs_nine_tenths_of_the_pairs_with_ties_counting_for_neither_side(self):
+        parent = [2.0 + 0.01 * i for i in range(10)]
+        nine_and_a_tie = ab.summarize(_pairs(parent, [1.5] * 9 + [parent[9]], "w.run_s"), SPEC)["w.run_s"]
+        eight_and_two_ties = ab.summarize(_pairs(parent, [1.5] * 8 + parent[8:], "w.run_s"), SPEC)["w.run_s"]
+        assert (nine_and_a_tie["change_wins"], nine_and_a_tie["ties"]) == (9, 1)
+        assert nine_and_a_tie["resolved"] and nine_and_a_tie["gain"]
+        assert (eight_and_two_ties["change_wins"], eight_and_two_ties["ties"]) == (8, 2)
+        assert eight_and_two_ties["resolved"] and not eight_and_two_ties["gain"]
+
+    def test_no_gain_unless_the_median_moves_past_the_parents_iqr_the_better_way(self):
+        parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+        inside = ab.summarize(_pairs(parent, [p - 0.5 for p in parent], "w.run_s"), SPEC)["w.run_s"]
+        assert inside["change_wins"] == 5 and not inside["resolved"] and not inside["gain"]
+        worse = ab.summarize(_pairs([50.0] * 10, [40.0] * 10, "w.acc_pct"), SPEC)["w.acc_pct"]
+        assert worse["resolved"] and worse["parent_wins"] == 10 and not worse["gain"]
+        better = ab.summarize(_pairs([50.0] * 10, [51.0] * 10, "w.acc_pct"), SPEC)["w.acc_pct"]
+        assert better["gain"]
+
+    @pytest.mark.parametrize("metric, change, worse", [
+        ("w.run_s", 1.24, False), ("w.run_s", 1.26, True), ("w.run_s", 0.5, False),
+        ("w.acc_pct", 0.76, False), ("w.acc_pct", 0.74, True), ("w.acc_pct", 2.0, False)])
+    def test_worse_than_bound_is_the_median_worse_by_more_than_the_bound_share(self, metric, change, worse):
+        s = ab.summarize(_pairs([1.0] * 3, [change] * 3, metric), SPEC)[metric]
+        assert s["bound"] == 0.25
+        assert s["worse_than_bound"] is worse
+
+    def test_print_summary_shows_both_verdicts(self, capsys):
+        ab.print_summary(ab.summarize(_pairs([2.0] * 10, [1.0] * 10, "w.run_s"), SPEC))
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[-3:] == ["resolved", "gain", "worse_than_bound"]
+        assert row.split()[-3:] == ["True", "True", "False"]
+
+
 def test_diff_trees_lists_changed_and_one_sided_files(tmp_path):
     for side, files in {"a": {"same": b"1", "sub/changed": b"x", "only_a": b""},
                         "b": {"same": b"1", "sub/changed": b"y", "only_b": b""}}.items():

@@ -166,6 +166,14 @@ class TestSplitAccuracy:
 
 
 class TestProbabilityDistribution:
+    def test_from_probs_logs_three_numbers_per_row_and_not_the_rows(self):
+        probs = np.array([[0.7, 0.3], [0.2, 0.8], [0.55, 0.45]])
+        log = PredictionLog.from_probs(probs, np.array([0, 0, 1]))
+        assert log.confidence.tolist() == [0.7, 0.8, 0.55]
+        assert log.predicted.tolist() == [0, 1, 0]
+        assert log.p_true.tolist() == [0.7, 0.2, 0.45]
+        assert not hasattr(log, "probs")
+
     def test_true_class_probabilities_per_split(self):
         probs = np.array([[0.7, 0.3], [0.2, 0.8], [0.55, 0.45]])
         log = PredictionLog.from_probs(probs, np.array([0, 0, 1]))

@@ -453,6 +453,17 @@ class TestMalformedDataset:
         assert code == EXIT_IO
         assert err.startswith(f"i/o error: {prefix}") and err.count("\n") == 1, err
 
+    def test_row_overflowing_the_model_past_the_first_score_block_is_named(self, workspace, tmp_path, capsys):
+        prefix = _copy_dataset(workspace, tmp_path)
+        # 6,000 rows, two score blocks; data row 5,000 is in the second.
+        _edit_lines(Path(f"{prefix}.test.csv"), lambda lines: [lines[0], *(lines[1:] * 40)[:6000]])
+        _edit_lines(Path(f"{prefix}.test.csv"), lambda lines: [*lines[:5000], _set_field(lines[5000], 0, "1.7e308"),
+                                                               *lines[5001:]])
+        code = main(["eval", "--checkpoint", str(workspace / "run" / "model"), "--data", str(prefix)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith(f"i/o error: {prefix}.test.csv: data row 5000 overflows") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRAIN_CSV))
     def test_malformed_train_csv_exits_io_with_one_line(self, workspace, tmp_path, capsys, case):
         prefix = _copy_dataset(workspace, tmp_path)

@@ -1,6 +1,7 @@
 import csv
 import io
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -102,6 +103,48 @@ class TestBlobs:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="spread 1e\\+308"):
                 gen_gaussian_blobs([10, 10], dim=4, spread=1e308, seed=0)
+
+
+def _reference_blobs(counts, dim, spread, seed, test_per_class):
+    """The train and test features as the per-class arrays and np.concatenate that
+    gen_gaussian_blobs once used, from the same generators."""
+    centers = data._class_centers(len(counts), dim, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD4]))
+    test_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E]))
+    features = np.concatenate([centers[j] + spread * rng.standard_normal((int(n), dim))
+                               for j, n in enumerate(counts)])
+    test_features = np.concatenate([centers[j] + spread * test_rng.standard_normal((test_per_class, dim))
+                                    for j in range(len(counts))])
+    return features, test_features
+
+
+class TestBlobsInPlace:
+    @pytest.mark.parametrize("profile, dim, spread, seed, test_per_class",
+                             [((500, 5, 100), 24, 0.45, 3, 200), ((500, 5, 10), 16, 0.45, 1, 50),
+                              ((7, 7, 2), 2, 3.0, 0, 1), ((40, 1, 4), 5, 1e-3, 2**62, 3)])
+    def test_features_match_the_concatenated_reference(self, profile, dim, spread, seed, test_per_class):
+        counts = make_longtail_profile(*profile)
+        ds = gen_gaussian_blobs(counts, dim, spread, seed, test_per_class)
+        features, test_features = _reference_blobs(counts, dim, spread, seed, test_per_class)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.test_features.tobytes() == test_features.tobytes()
+
+    def test_peak_memory_stays_near_the_dataset(self):
+        """The score-csv dataset's rows are drawn into their arrays: the traced peak
+        stays under 1.2x the arrays returned (concatenating per-class arrays peaked at 1.6x)."""
+        counts = make_longtail_profile(500, 5, 100)
+        tracemalloc.start()
+        try:
+            ds = gen_gaussian_blobs(counts, 24, 0.45, seed=3, test_per_class=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (ds.features, ds.labels, ds.test_features, ds.test_labels, ds.centers))
+        assert peak < 1.2 * size, f"peak {peak} bytes for {size} bytes of dataset"
+
+    def test_counts_summing_past_int64_are_refused_as_too_big(self):
+        with pytest.raises(ValueError, match="too big"):
+            gen_gaussian_blobs([2**63 - 1, 2], dim=2, spread=0.5, seed=0)
 
 
 class TestSampler:
@@ -211,6 +254,20 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(data.DatasetFormatError):
             data._read_feature_csv(path)
+
+    # np.loadtxt numbers a bad value's row from 0 and a width change's row from 1;
+    # ltcalib's messages number data rows from 1, blank lines not counted.
+    @pytest.mark.parametrize("body, message", [
+        ("\r\nx,2.0,0\r\n1.0,2.0,1\r\n", "could not convert string 'x' to float64 at data row 1, column 1."),
+        ("1.0,2.0,0\r\n\r\n1.0,1\r\n", "the number of columns changed from 3 to 2 at data row 2;"),
+        ("1.0,at row 7,0\r\n", "could not convert string 'at row 7' to float64 at data row 1, column 2."),
+    ], ids=["bad_first_row", "short_second_row", "row_text_in_a_field"])
+    def test_parse_error_names_the_1_based_data_row(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("feat_0,feat_1,label\r\n" + body).encode())
+        with pytest.raises(data.DatasetFormatError) as exc:
+            data._read_feature_csv(path)
+        assert str(exc.value).startswith(f"{path}: {message}"), str(exc.value)
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):

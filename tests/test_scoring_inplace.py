@@ -1,5 +1,6 @@
 """The in-place eval forward: the bits of the allocating expressions it replaced,
-inputs left as they were, and one logits matrix held while scoring."""
+inputs left as they were, one logits matrix held while scoring, and a prediction
+log scored in row blocks, so that no probability matrix of every row is held."""
 
 import copy
 import tracemalloc
@@ -7,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ltcalib import net, tensor
+from ltcalib import net, tensor, trainer
+from ltcalib.calib import PredictionLog
 from ltcalib.head import GeneralizedHead, LinearClassifier
 from ltcalib.net import Backbone, BackboneConfig, BatchNorm
 from ltcalib.tensor import _log_softmax_rows, softmax_inplace
@@ -178,3 +180,49 @@ def test_predict_probs_peak_memory_stays_near_its_output():
         tracemalloc.stop()
     assert probs.shape == (20_000, 100)
     assert peak < 1.5 * probs.nbytes, f"peak {peak} bytes for a {probs.nbytes}-byte output"
+
+
+class TestPredictionLog:
+    @pytest.mark.parametrize("rows, ends", [
+        (1, [1]), (2047, [2047]), (2048, [2048]), (4095, [4095]), (4096, [2048, 4096]), (4097, [2048, 4097]),
+        (20_000, [2048, 4096, 6144, 8192, 10240, 12288, 14336, 16384, 20_000])])
+    def test_block_ends_fold_the_remainder_into_the_last_block(self, rows, ends):
+        assert trainer._score_block_ends(rows) == ends
+
+    # The reference scores each block on its own, so the test holds whatever
+    # bits a BLAS build gives a block's product.
+    @pytest.mark.parametrize("rows", [1, 2047, 4096, 2 * 4096 + 5])
+    @pytest.mark.parametrize("kind", CLASSIFIERS)
+    def test_prediction_log_is_the_log_of_predict_probs_per_block(self, kind, rows):
+        rng = np.random.default_rng(rows)
+        model = _model(kind, rng)
+        x = rng.standard_normal((rows, 6)) * 3.0
+        labels = rng.integers(0, 7, rows)
+        before = x.copy()
+        ends = trainer._score_block_ends(rows)
+        blocks = [PredictionLog.from_probs(model.predict_probs(x[a:b]), labels[a:b]) for a, b in zip([0, *ends], ends)]
+        log = model.prediction_log(x, labels)
+        for name in ("confidence", "predicted", "label", "p_true"):
+            expected = np.concatenate([getattr(block, name) for block in blocks])
+            assert getattr(log, name).dtype == expected.dtype, name
+            assert getattr(log, name).tobytes() == expected.tobytes(), name
+        assert x.tobytes() == before.tobytes()
+
+
+def test_prediction_log_peak_memory_stays_under_a_third_of_the_probability_matrix():
+    """Scoring 20,000 rows into 100 classes holds one block's probabilities and
+    four numbers per row: the traced peak stays under 0.35x the bytes of the
+    probabilities of every row, which predict_probs holds."""
+    rng = np.random.default_rng(0)
+    model = _model("generalized", rng, dim=64, hidden=(32, 16), k=100)
+    x = rng.standard_normal((20_000, 64))
+    labels = rng.integers(0, 100, 20_000)
+    tracemalloc.start()
+    try:
+        log = model.prediction_log(x, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 20_000
+    matrix = 20_000 * 100 * 8
+    assert peak < 0.35 * matrix, f"peak {peak} bytes against a {matrix}-byte probability matrix"

@@ -28,7 +28,12 @@ Timing: ``--pairs N`` runs ``perfbench/run.py --workload all --trace 0``, with
 for even ones; then one pair on the benchmark's held-out seed and one traced
 run per tree. Per end-to-end metric it reports each side's median and
 quartiles, the pairs each side won, and whether the median gap lies outside the
-base's interquartile range ("resolved"). ``--pairs 0`` runs the byte-diff only.
+base's interquartile range ("resolved"), and two verdicts of the acceptance
+rule: "gain" (the change won at least 9/10 of the pairs, ties counting for
+neither side, and its median is better by more than that range) and
+"worse_than_bound" (its median is worse by more than the metric's
+``BENCHMARK.json`` bound, a share of the base's median). ``--pairs 0`` runs the
+byte-diff only.
 
 The exit status is 1 when a file differs or a benchmark run reports a failed
 operation, and 0 otherwise; no timing is asserted.
@@ -195,8 +200,12 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
-    """Per workload and end-to-end metric: each side's quartiles, pairs won, and
-    whether the median gap lies outside the parent's interquartile range."""
+    """Per workload and end-to-end metric: each side's quartiles, pairs won,
+    whether the median gap lies outside the parent's interquartile range, and the
+    acceptance rule's two verdicts: ``gain`` (the change won at least 9/10 of the
+    pairs, ties counting for neither side, and its median is better by more than
+    that range) and ``worse_than_bound`` (its median is worse than the parent's
+    by more than the metric's ``bound``, a share of the parent's median)."""
     declared = {m["name"]: m for m in spec["end_to_end"]}
     summary = {}
     for key in sorted(pairs[0]["parent"]):
@@ -208,18 +217,22 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         sign = 1.0 if metric["better"] == "lower" else -1.0
         p_stats, c_stats = quartiles(parent), quartiles(change)
         gap = c_stats["median"] - p_stats["median"]
+        gap_rel = gap / p_stats["median"] if p_stats["median"] else 0.0
         iqr = p_stats["q3"] - p_stats["q1"]
+        change_wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         summary[key] = {
             "bound": metric["bound"],
             "parent": p_stats,
             "change": c_stats,
-            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "change_wins": change_wins,
             "parent_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "ties": sum(c == p for p, c in zip(parent, change)),
             "median_gap": gap,
-            "median_gap_rel": gap / p_stats["median"] if p_stats["median"] else 0.0,
+            "median_gap_rel": gap_rel,
             "parent_iqr": iqr,
             "resolved": abs(gap) > iqr,
+            "gain": 10 * change_wins >= 9 * len(pairs) and sign * gap < -iqr,
+            "worse_than_bound": sign * gap_rel > metric["bound"],
         }
     return summary
 
@@ -239,12 +252,13 @@ def run_pair(trees: dict[str, Path], seed: int, seconds: float, first: str) -> t
 
 def print_summary(summary: dict) -> None:
     print(f"{'metric':<26} {'parent median [q1, q3]':>30} {'change median':>14} {'gap':>8} "
-          f"{'wins c/p':>9} resolved")
+          f"{'wins c/p':>9} {'resolved':>8} {'gain':>5} worse_than_bound")
     for key, s in summary.items():
         p = s["parent"]
         print(f"{key:<26} {p['median']:12.4f} [{p['q1']:.4f}, {p['q3']:.4f}] "
               f"{s['change']['median']:14.4f} {100 * s['median_gap_rel']:+7.1f}% "
-              f"{s['change_wins']:>4}/{s['parent_wins']:<4} {s['resolved']}")
+              f"{s['change_wins']:>4}/{s['parent_wins']:<4} {s['resolved']!s:>8} {s['gain']!s:>5} "
+              f"{s['worse_than_bound']}")
 
 
 def main(argv: list[str] | None = None) -> int:
