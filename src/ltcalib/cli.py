@@ -156,10 +156,9 @@ def _scored(args) -> tuple[dict, PredictionLog]:
     model = _load_model_for(sidecar, args.checkpoint)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log = model.prediction_log(features, labels)
-    # A softmax row of finite logits is finite, and argmax picks a row's NaN when it holds one.
-    if (nan := np.flatnonzero(np.isnan(log.confidence))).size:
-        raise data_mod.DatasetFormatError(f"{Path(args.data).parent / sidecar['test_csv']}: data row {nan[0] + 1} "
-                                          "overflows the checkpoint's forward pass to a NaN probability")
+    # argmax picks a row's NaN when it holds one.
+    if np.isnan(log.confidence).any():
+        raise data_mod.nan_row_error(Path(args.data).parent / sidecar["test_csv"], log.confidence)
     return sidecar, log
 
 
@@ -171,7 +170,7 @@ def cmd_gen_data(args) -> int:
     comp = {tag: ds.splits.count(tag) for tag in ("many", "medium", "few")}
     print(f"imbalance factor beta = {ds.imbalance_factor:g}")
     print(f"splits: many={comp['many']} medium={comp['medium']} few={comp['few']}")
-    print(f"wrote {args.out}.csv / .test.csv / .json")
+    print(f"wrote {args.out}.csv / .test.csv / .csv.bin / .test.csv.bin / .json")
     return EXIT_OK
 
 

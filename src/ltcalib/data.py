@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import mmap
 import re
+import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +30,7 @@ __all__ = [
     "load_dataset",
     "load_test_split",
     "DatasetFormatError",
+    "nan_row_error",
 ]
 
 MANY_THRESHOLD = 100  # count > 100  -> "many"
@@ -69,6 +73,7 @@ class LongTailedDataset:
     test_features: np.ndarray | None = None
     test_labels: np.ndarray | None = None
     centers: np.ndarray | None = field(default=None, repr=False)
+    test_path: Path | None = None  # the CSV the test split was read from, when it was
 
     def __post_init__(self):
         counts = np.asarray(self.class_counts)
@@ -240,6 +245,14 @@ class DatasetFormatError(FormatError):
     """A dataset file that was read but does not hold a well-formed dataset."""
 
 
+def nan_row_error(test_csv: Path | None, confidence: np.ndarray) -> DatasetFormatError:
+    """The error for the first test row whose confidence is NaN: a finite feature
+    that the forward pass overflows, since a softmax row of finite logits is finite."""
+    row = np.flatnonzero(np.isnan(confidence))[0] + 1
+    return DatasetFormatError(f"{test_csv or 'test split'}: data row {row} "
+                              "overflows the checkpoint's forward pass to a NaN probability")
+
+
 def _write_feature_csv(fh, features: np.ndarray, labels: np.ndarray):
     """Header plus one ``repr(float)`` field per feature and the integer label,
     CRLF-terminated: the bytes ``csv.writer`` writes for those fields."""
@@ -263,9 +276,10 @@ SIDECAR_RULES = {
 
 
 def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
-    """Write <prefix>.csv (+ .test.csv when present) and a JSON sidecar, each
-    atomically; the sidecar is written last. A dataset with an empty class (no
-    imbalance factor) or a sidecar off ``SIDECAR_RULES`` is rejected first."""
+    """Write <prefix>.csv (+ .test.csv when present), then each CSV's binary twin
+    ``<csv name>.bin``, then a JSON sidecar, each atomically. A dataset with an
+    empty class (no imbalance factor) or a sidecar off ``SIDECAR_RULES`` is
+    rejected first."""
     if np.any(np.asarray(ds.class_counts) == 0):
         raise ValueError("cannot save a dataset with an empty class: its imbalance factor is undefined")
     prefix = Path(out_prefix)
@@ -280,11 +294,77 @@ def save_dataset(ds: LongTailedDataset, out_prefix: str | Path):
     }
     check_fields(SIDECAR_RULES, sidecar)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(prefix.with_suffix(".csv"),
-                 lambda fh: _write_feature_csv(fh, ds.features, ds.labels))
+    csvs = [(prefix.with_suffix(".csv"), ds.features, ds.labels)]
     if ds.test_features is not None:
-        write_atomic(test_path, lambda fh: _write_feature_csv(fh, ds.test_features, ds.test_labels))
+        csvs.append((test_path, ds.test_features, ds.test_labels))
+    for path, features, labels in csvs:
+        write_atomic(path, lambda fh: _write_feature_csv(fh, features, labels))
+    for path, features, labels in csvs:
+        _write_twin(path, features, labels)
     write_json(prefix.with_suffix(".json"), sidecar)
+
+
+# The binary twin of a dataset CSV: a fixed header, then the features as
+# little-endian float64 rows and the labels as int64. The header holds a magic
+# string, the CSV's SHA-256, the row count, the width and the payload's SHA-256.
+# The twin stands in for the CSV only while the CSV still has the bytes it was
+# written beside; the CSV stays the interchange format and the reference.
+_TWIN_MAGIC = b"LTCTWIN1"
+_TWIN_HEADER = struct.Struct("<8s32sQQ32s")
+
+
+def _twin_path(csv_path: Path) -> Path:
+    return csv_path.with_name(csv_path.name + ".bin")
+
+
+def _file_sha256(path: Path) -> bytes:
+    """The file's SHA-256, read through a 256 KiB buffer (``hashlib.file_digest``
+    does the same from Python 3.11 on)."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 18)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buffer):
+            digest.update(memoryview(buffer)[:size])
+    return digest.digest()
+
+
+def _write_twin(csv_path: Path, features: np.ndarray, labels: np.ndarray):
+    """The twin of the CSV at ``csv_path``, which holds ``features`` and ``labels``."""
+    features = np.ascontiguousarray(features, dtype="<f8")
+    labels = np.ascontiguousarray(labels, dtype="<i8")
+    payload = hashlib.sha256(features)
+    payload.update(labels)
+    header = _TWIN_HEADER.pack(_TWIN_MAGIC, _file_sha256(csv_path), *features.shape, payload.digest())
+
+    def write(fh):
+        for part in (header, features, labels):
+            fh.write(part)
+
+    write_atomic(_twin_path(csv_path), write, binary=True)
+
+
+def _read_twin(csv_path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The features and labels of the CSV at ``csv_path``, read from its twin as
+    read-only views of the twin's mapping (which closes when they are freed);
+    None, so that the CSV is parsed, unless the twin's header parses, its size
+    and payload hash match, the CSV's SHA-256 is the one it records, and the
+    parse would accept its rows (one at least, of finite features)."""
+    try:
+        with open(_twin_path(csv_path), "rb") as fh:
+            magic, csv_sha, rows, width, payload_sha = _TWIN_HEADER.unpack(fh.read(_TWIN_HEADER.size))
+            if (magic != _TWIN_MAGIC or rows < 1 or width < 1
+                    or _TWIN_HEADER.size + 8 * rows * (width + 1) != fh.seek(0, 2)):
+                return None
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        with memoryview(mapped) as view, view[_TWIN_HEADER.size:] as payload:
+            payload_ok = hashlib.sha256(payload).digest() == payload_sha
+        if not (payload_ok and _file_sha256(csv_path) == csv_sha):
+            mapped.close()
+            return None
+    except (OSError, struct.error):
+        return None
+    features = np.frombuffer(mapped, "<f8", rows * width, _TWIN_HEADER.size).reshape(rows, width)
+    labels = np.frombuffer(mapped, "<i8", rows, _TWIN_HEADER.size + 8 * rows * width)
+    return (features, labels) if np.isfinite(features).all() else None
 
 
 def _data_row_message(message: str) -> str:
@@ -353,8 +433,9 @@ def load_sidecar(prefix: str | Path) -> dict:
 
 
 def _read_checked_csv(path: Path, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A dataset CSV whose width matches the sidecar's ``dim`` and whose labels lie in [0, k)."""
-    features, labels = _read_feature_csv(path)
+    """A dataset CSV whose width matches the sidecar's ``dim`` and whose labels lie in [0, k);
+    its binary twin stands in for the parse when :func:`_read_twin` accepts it."""
+    features, labels = _read_twin(path) or _read_feature_csv(path)
     if features.shape[1] != dim:
         raise DatasetFormatError(f"{path}: {features.shape[1]} feature columns, sidecar dim is {dim}")
     bad = np.flatnonzero((labels < 0) | (labels >= k))
@@ -384,7 +465,7 @@ def load_dataset(prefix: str | Path) -> LongTailedDataset:
     try:
         return LongTailedDataset(features=features, labels=labels, class_counts=sidecar["class_counts"],
                                  splits=sidecar["splits"], seed=sidecar["seed"],
-                                 test_features=test_features, test_labels=test_labels)
+                                 test_features=test_features, test_labels=test_labels, test_path=test_path)
     except ValueError as exc:
         raise DatasetFormatError(f"{prefix.with_suffix('.json')}: {exc}") from None
 

@@ -56,10 +56,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
     def zero_grad(self):
         self.grad = None
 
@@ -125,9 +121,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_vals = self.values * other.values
@@ -151,9 +144,6 @@ class Tensor:
             )
 
         return Tensor._from_op(out_vals, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, exponent: float):
         out_vals = self.values**exponent

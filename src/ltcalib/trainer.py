@@ -22,7 +22,7 @@ from . import net
 from .artifacts import (_AT_LEAST_ONE, _BOOL, _COUNT, _OBJECT, _POSITIVE, FormatError, _number, _one_of,
                         check_fields, list_of, write_csv, write_json)
 from .calib import PredictionLog, ece, split_accuracy
-from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, one_hot
+from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, nan_row_error, one_hot
 from .head import GeneralizedHead, HEAD_MODES, LinearClassifier
 # Training builds soft-CE targets and runs the loss kernels directly; the taped
 # losses stay importable from here, where perfbench's tracer looks them up.
@@ -347,8 +347,14 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 @np.errstate(**_QUIET)
 def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
-    """Accuracy, ECE, and split accuracies on the balanced test set."""
+    """Accuracy, ECE, and split accuracies on the balanced test set. A test row scored
+    to a NaN probability by a model whose forward pass is finite on every training
+    row is a fault of the test data, raised as :func:`~ltcalib.data.nan_row_error`."""
     log = model.prediction_log(ds.test_features, ds.test_labels)
+    # A NaN on the training rows too is the model's own fault: the metric stays NaN.
+    if (np.isnan(log.confidence).any()
+            and not np.isnan(model.prediction_log(ds.features, ds.labels).confidence).any()):
+        raise nan_row_error(ds.test_path, log.confidence)
     report = ece(log, bins)
     out = {"accuracy": float(log.correct.mean() * 100.0), "ece": report.ece_percent}
     out.update({f"acc_{k}": v for k, v in split_accuracy(log, ds.splits).items()})
@@ -358,11 +364,12 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
 @np.errstate(**_QUIET)
 def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
          stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
-         mix_tag: int, targets, metrics: list | None) -> Model:
+         mix_tag: int, targets, metrics: list | None, final: dict | None) -> Model:
     """The epoch loop of either stage: draw a batch (mixed up when ``mixup``),
     run the model's forward chain on arrays, take an SGD step on the soft CE
     against the mixup targets or ``targets(labels)``, and append one curve row
-    per epoch to ``metrics``."""
+    per epoch to ``metrics``; ``final`` is set to the last epoch's evaluation,
+    which scored the model returned."""
     mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
     mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
     steps = cfg.batches_per_epoch
@@ -391,11 +398,16 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
             metrics.append({"epoch": epoch, "stage": stage, "lr": lr,
                             "train_loss": float(np.mean(losses)),
                             "test_acc": ev["accuracy"], "ece": ev["ece"]})
+            if final is not None:
+                final.update(ev)
     return model
 
 
-def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None = None) -> Model:
-    """Joint backbone + linear classifier training on instance-balanced batches."""
+def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None = None,
+                 final: dict | None = None) -> Model:
+    """Joint backbone + linear classifier training on instance-balanced batches. With
+    ``metrics``, each epoch is evaluated and appends a curve row there, and ``final``
+    (when given) is set to the last epoch's evaluation."""
     bb_cfg = net.BackboneConfig(
         in_dim=ds.dim, hidden=list(cfg.hidden), batchnorm=cfg.batchnorm,
         bn_momentum=cfg.bn_momentum, seed=cfg.seed,
@@ -412,12 +424,13 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
                 Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
                 cfg=cfg, ds=ds, stage=1, epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule,
                 base_lr=cfg.lr, mode=net.TRAIN, mixup=cfg.mixup_stage1, mix_tag=0x3F,
-                targets=lambda y: one_hot(y, ds.num_classes), metrics=metrics)
+                targets=lambda y: one_hot(y, ds.num_classes), metrics=metrics, final=final)
 
 
 def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
-                 metrics: list | None = None) -> Model:
-    """Classifier retraining on class-balanced batches with a frozen backbone."""
+                 metrics: list | None = None, final: dict | None = None) -> Model:
+    """Classifier retraining on class-balanced batches with a frozen backbone;
+    ``metrics`` and ``final`` as for :func:`train_stage1`."""
     k = ds.num_classes
     head = GeneralizedHead(model.classifier.w.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
     groups = head.param_groups()
@@ -445,16 +458,17 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
                 cfg=cfg, ds=ds, stage=2, epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule,
                 base_lr=cfg.lr * cfg.stage2_lr_scale,
                 mode=net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL,
-                mixup=cfg.mixup_stage2, mix_tag=0x9D, targets=targets, metrics=metrics)
+                mixup=cfg.mixup_stage2, mix_tag=0x9D, targets=targets, metrics=metrics, final=final)
 
 
 def run(cfg: TrainConfig, ds: LongTailedDataset) -> dict:
-    """Full pipeline; returns final metrics, per-epoch curves, and the model."""
+    """Full pipeline; returns final metrics, per-epoch curves, and the model. The
+    final metrics are the last epoch's evaluation (Stage 1 has an epoch at least)."""
     metrics: list[dict] = []
-    model = train_stage1(cfg, ds, metrics)
+    final: dict = {}
+    model = train_stage1(cfg, ds, metrics, final)
     if cfg.stage2_epochs > 0:
-        model = train_stage2(cfg, model, ds, metrics)
-    final = evaluate(model, ds)
+        model = train_stage2(cfg, model, ds, metrics, final)
     return {"config": asdict(cfg), "final": final, "curves": metrics, "model": model}
 
 

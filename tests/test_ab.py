@@ -126,3 +126,19 @@ def test_cross_load_lists_each_scored_output_that_differs_from_the_bases_own(tmp
     assert ab.cross_load(ab.ROOT, base, tmp_path / "same") == (4, [])
     (base / "op" / "reliability.csv").write_text("changed\n")
     assert ab.cross_load(ab.ROOT, base, tmp_path / "changed") == (4, ["cross-load/reliability.csv"])
+    assert ab.cross_load(ab.ROOT, base, tmp_path / "reverse", "cross-load-reverse") == (
+        4, ["cross-load-reverse/reliability.csv"])
+
+
+def test_cross_load_both_ways_scores_each_sides_files_with_the_other_sides_code(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_cross_load(tree, base_score, out, label):
+        calls.append((tree, base_score, out, label))
+        return 4, [f"{label}/eval.stdout"] if tree == "p" else []
+
+    monkeypatch.setattr(ab, "cross_load", fake_cross_load)
+    assert ab.cross_load_both_ways({"parent": "p", "change": "c"}, tmp_path) == (8, ["cross-load-reverse/eval.stdout"])
+    assert calls == [("c", tmp_path / "artifacts-parent" / "score-csv", tmp_path / "cross-load", "cross-load"),
+                     ("p", tmp_path / "artifacts-change" / "score-csv", tmp_path / "cross-load-reverse",
+                      "cross-load-reverse")]

@@ -220,7 +220,8 @@ class TestTrain:
         assert not (tmp_path / "o" / "model.json").exists()
 
     # A: a learning rate that leaves finite weights near 3e299, whose forward
-    # pass overflows on every test row. B: a test row of 1.7e308 features.
+    # pass overflows on every test row: a non-finite metric, exit 1. B: a test
+    # row of 1.7e308 features that a finite model overflows: a data fault, exit 2.
     @pytest.mark.parametrize("probe", ["lr_1e300", "test_row_1.7e308"])
     def test_non_finite_metric_exits_usage_with_one_stderr_line_and_writes_no_file(self, tmp_path, probe):
         assert main(["gen-data", "--classes", "3", "--nmax", "60", "--nmin", "6", "--dim", "3",
@@ -236,12 +237,18 @@ class TestTrain:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         (tmp_path / "o").mkdir()
         # A child process, so that numpy's warnings reach stderr as in a shell.
-        proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", "train", "--config", str(tmp_path / "cfg.json"),
-                               "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")],
-                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-        assert proc.returncode == EXIT_USAGE
-        assert proc.stderr.startswith("config error: metrics: ") and proc.stderr.count("\n") == 1, proc.stderr
-        assert list((tmp_path / "o").iterdir()) == []
+        for command in ["train"] if probe == "lr_1e300" else ["train", "ablate"]:
+            proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", command, "--config", str(tmp_path / "cfg.json"),
+                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")],
+                                  capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+            if probe == "lr_1e300":
+                assert proc.returncode == EXIT_USAGE
+                assert proc.stderr.startswith("config error: metrics: ") and proc.stderr.count("\n") == 1, proc.stderr
+            else:
+                assert proc.returncode == EXIT_IO
+                assert proc.stderr == (f"i/o error: {tmp_path / 'd.test.csv'}: data row 1 overflows the "
+                                       "checkpoint's forward pass to a NaN probability\n"), proc.stderr
+            assert list((tmp_path / "o").iterdir()) == []
 
     def test_width_too_large_to_allocate_exits_usage_with_one_line(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "huge.json"

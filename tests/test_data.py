@@ -1,5 +1,6 @@
 import csv
 import io
+import shutil
 import tempfile
 import tracemalloc
 import warnings
@@ -289,7 +290,7 @@ def _reference_csv(features, labels) -> str:
     return buf.getvalue()
 
 
-SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, 1e16, 1e308, -1e308,
                   np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 1 / 3]
 finite_f64 = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                        st.sampled_from(SPECIAL_FLOATS))
@@ -314,6 +315,10 @@ class TestCsvByteIdentity:
         with tempfile.TemporaryDirectory() as tmp:
             save_dataset(ds, Path(tmp) / "d")
             assert (Path(tmp) / "d.csv").read_bytes() == buf.getvalue().encode()
+            # The binary twins hold the parse's arrays bit for bit.
+            for csv_path in (Path(tmp) / "d.csv", Path(tmp) / "d.test.csv"):
+                twin, parsed = data._read_twin(csv_path), data._read_feature_csv(csv_path)
+                assert [(a.dtype, a.shape, a.tobytes()) for a in twin] == [(a.dtype, a.shape, a.tobytes()) for a in parsed]
             back = load_dataset(Path(tmp) / "d")
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.test_features.tobytes() == ds.test_features.tobytes()
@@ -376,3 +381,99 @@ class TestAtomicSave:
         with pytest.raises(ValueError, match=f"^{field}: must be "):
             save_dataset(ds, tmp_path / "d")
         assert list(tmp_path.iterdir()) == []
+
+
+def _saved(tmp_path, seed=7):
+    """Save a small gen-data set as ``tmp_path/d``; its train and test CSV paths."""
+    ds = gen_gaussian_blobs(make_longtail_profile(60, 4, 4), dim=3, spread=0.4, seed=seed)
+    save_dataset(ds, tmp_path / "d")
+    return tmp_path / "d.csv", tmp_path / "d.test.csv"
+
+
+def _edit_digit(csv_path, twin_path):
+    text = csv_path.read_bytes()
+    at = text.index(b",", text.index(b"\r\n")) - 1  # the last digit of the first data row's first feature
+    assert text[at:at + 1].isdigit()
+    csv_path.write_bytes(text[:at] + (b"1" if text[at:at + 1] != b"1" else b"2") + text[at + 1:])
+
+
+def _flip_payload_byte(csv_path, twin_path):
+    blob = bytearray(twin_path.read_bytes())
+    blob[-9] ^= 0x01  # in the last feature
+    twin_path.write_bytes(bytes(blob))
+
+
+def _garbage_header(csv_path, twin_path):
+    size = data._TWIN_HEADER.size
+    twin_path.write_bytes(b"\xff" * size + twin_path.read_bytes()[size:])
+
+
+def _twin_of_another_csv(csv_path, twin_path):
+    (csv_path.parent / "other").mkdir()
+    _saved(csv_path.parent / "other", seed=8)
+    shutil.copy(csv_path.parent / "other" / twin_path.name, twin_path)
+
+
+# Each leaves a twin that must not stand in for the CSV beside it.
+TWIN_FALLBACKS = {
+    "edited_csv_digit": _edit_digit,
+    "truncated_twin": lambda csv_path, twin_path: twin_path.write_bytes(twin_path.read_bytes()[:-8]),
+    "flipped_payload_byte": _flip_payload_byte,
+    "missing_twin": lambda csv_path, twin_path: twin_path.unlink(),
+    "garbage_header": _garbage_header,
+    "twin_of_a_different_csv": _twin_of_another_csv,
+}
+
+
+class TestBinaryTwin:
+    def test_files_are_written_csvs_first_then_twins_then_the_sidecar(self, tmp_path, monkeypatch):
+        written = []
+        for name in ("write_atomic", "write_json"):
+            original = getattr(data, name)
+            monkeypatch.setattr(data, name, lambda path, *args, original=original, **kwargs:
+                                written.append(Path(path).name) or original(path, *args, **kwargs))
+        _saved(tmp_path)
+        assert written == ["d.csv", "d.test.csv", "d.csv.bin", "d.test.csv.bin", "d.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+
+    def test_a_loaded_dataset_views_the_twins_read_only(self, tmp_path):
+        _saved(tmp_path)
+        ds = load_dataset(tmp_path / "d")
+        for a in (ds.features, ds.labels, ds.test_features, ds.test_labels):
+            assert not a.flags.writeable
+        assert ds.features.flags["C_CONTIGUOUS"] and ds.labels.dtype == np.int64
+        sidecar, features, labels = data.load_test_split(tmp_path / "d")
+        assert not features.flags.writeable
+        assert features.tobytes() == ds.test_features.tobytes()
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    @pytest.mark.parametrize("case", sorted(TWIN_FALLBACKS))
+    def test_a_twin_that_does_not_match_gives_the_csv_parse(self, tmp_path, case, which):
+        csv_path = _saved(tmp_path)[which == "test"]
+        twin_path = data._twin_path(csv_path)
+        TWIN_FALLBACKS[case](csv_path, twin_path)
+        assert data._read_twin(csv_path) is None
+        ds = load_dataset(tmp_path / "d")
+        features, labels = data._read_feature_csv(csv_path)
+        got = (ds.features, ds.labels) if which == "train" else (ds.test_features, ds.test_labels)
+        assert got[0].tobytes() == features.tobytes() and got[1].tobytes() == labels.tobytes()
+        assert got[0].flags.writeable  # parsed, not mapped
+
+    def test_an_edited_csv_that_does_not_parse_gives_the_parse_error(self, tmp_path):
+        _, test_csv = _saved(tmp_path)
+        test_csv.write_bytes(test_csv.read_bytes().replace(b"\r\n", b"\r\nx", 1))
+        with pytest.raises(data.DatasetFormatError) as expected:
+            data._read_feature_csv(test_csv)
+        with pytest.raises(data.DatasetFormatError) as got:
+            load_dataset(tmp_path / "d")
+        assert str(got.value) == str(expected.value)
+        assert "could not convert string 'x" in str(got.value)
+
+    def test_a_twin_whose_arrays_the_parse_would_refuse_is_not_used(self, tmp_path):
+        ds = LongTailedDataset(features=np.array([[1.0, np.nan], [2.0, 3.0]]), labels=np.array([0, 1]),
+                               class_counts=np.array([1, 1]), splits=["few", "few"])
+        save_dataset(ds, tmp_path / "d")
+        assert data._twin_path(tmp_path / "d.csv").is_file()
+        assert data._read_twin(tmp_path / "d.csv") is None
+        with pytest.raises(data.DatasetFormatError, match="non-finite feature in data row 1"):
+            data._read_checked_csv(tmp_path / "d.csv", 2, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from ltcalib import net, trainer
 from ltcalib.tensor import Tensor, softmax
-from ltcalib.data import MixupConfig, gen_gaussian_blobs, mixup_batch
+from ltcalib.data import DatasetFormatError, MixupConfig, gen_gaussian_blobs, mixup_batch
 from ltcalib.head import GeneralizedHead
 from ltcalib.losses import (
     SmoothingSchedule,
@@ -235,7 +235,7 @@ class _PerParameterSGD:
 
 
 def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr, mode, mixup,
-               mix_tag, targets, metrics):
+               mix_tag, targets, metrics, final):
     """The loop of ``trainer._fit`` on the tape: Backbone.forward, ``@`` or the
     head node, the taped losses and backward, and per-parameter SGD. It builds
     its losses from ``cfg`` and ignores ``targets``."""
@@ -276,6 +276,8 @@ def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr
             metrics.append({"epoch": epoch, "stage": stage, "lr": lr,
                             "train_loss": float(np.mean(losses)),
                             "test_acc": ev["accuracy"], "ece": ev["ece"]})
+            if final is not None:
+                final.update(ev)
     return model
 
 
@@ -412,6 +414,33 @@ class TestStage2:
     def test_all_head_modes_train(self, ds, mode):
         res = run(tiny_cfg(head_mode=mode), ds)
         assert np.isfinite(res["final"]["ece"])
+
+
+class TestFinalEvaluation:
+    @pytest.mark.parametrize("stage2_epochs", [0, 2], ids=["stage1", "stage2"])
+    def test_final_is_the_last_epochs_evaluation_and_none_is_repeated(self, ds, monkeypatch, stage2_epochs):
+        calls = []
+        original = trainer.evaluate
+        monkeypatch.setattr(trainer, "evaluate", lambda *a, **kw: calls.append(None) or original(*a, **kw))
+        res = run(tiny_cfg(stage2_epochs=stage2_epochs), ds)
+        assert len(calls) == len(res["curves"]) == 3 + stage2_epochs
+        assert res["final"] == original(res["model"], ds)
+        assert (res["final"]["accuracy"], res["final"]["ece"]) == (res["curves"][-1]["test_acc"],
+                                                                    res["curves"][-1]["ece"])
+
+    def test_a_test_row_a_finite_model_overflows_is_a_data_fault_naming_the_row(self, ds):
+        test_features = ds.test_features.copy()
+        test_features[2] = 1.7e308
+        bad = dataclasses.replace(ds, test_features=test_features, test_path="t.test.csv")
+        with pytest.raises(DatasetFormatError, match="^t.test.csv: data row 3 overflows "):
+            run(tiny_cfg(), bad)
+        with pytest.raises(DatasetFormatError, match="^test split: data row 3 overflows "):
+            evaluate(run(tiny_cfg(), ds)["model"], dataclasses.replace(bad, test_path=None))
+
+    def test_a_model_that_overflows_its_training_rows_keeps_a_nan_metric(self, ds):
+        res = run(tiny_cfg(lr=1e300, stage1_epochs=1, stage1_schedule={"kind": "cosine"},
+                           stage2_epochs=0, batches_per_epoch=1), ds)
+        assert math.isnan(res["final"]["ece"])
 
 
 class TestAblationGrid:

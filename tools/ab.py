@@ -16,12 +16,13 @@ set-up and one operation for one seed, then ``train`` runs the five small
 ``TRAIN_VARIANTS`` configs on a gen-data set of that seed. Every file they write
 (gen-data files, the ``train-c100`` outputs, ``ablation.json``, the scoring
 checkpoint and outputs, each variant's config and train outputs) and the
-``eval`` stdout is compared byte for byte. Then the working tree's code runs
-``eval``, ``reliability``, ``distributions`` and ``weight-norms`` on the base
+``eval`` stdout is compared byte for byte. Then each tree's code runs
+``eval``, ``reliability``, ``distributions`` and ``weight-norms`` on the other
 tree's ``score-csv`` checkpoint and dataset, and each output is compared with
-the base's own (``cross-load/<file>``), which shows that the change reads
-checkpoints the base wrote. Every file that differs, or exists on one side
-only, is listed.
+that tree's own: ``cross-load/<file>`` is the working tree's code on the base's
+files, ``cross-load-reverse/<file>`` the base's code on the working tree's. This
+shows that each side reads the checkpoints and datasets the other wrote. Every
+file that differs, or exists on one side only, is listed.
 
 Timing: ``--pairs N`` runs ``perfbench/run.py --workload all --trace 0``, with
 ``--seconds`` from ``BENCHMARK.json``'s ``run_seconds``, on both trees for seeds 1..N, the base first for odd seeds and the change first
@@ -100,8 +101,8 @@ for name, config in json.loads(sys.argv[4]).items():
               "--out", str(out / "train-variants" / name)])
 """
 
-# Run inside the working tree: score the base tree's score-csv checkpoint and
-# dataset with the working tree's code. argv: tree, base's score-csv directory, output directory.
+# Run inside one tree: score the other tree's score-csv checkpoint and dataset
+# with this tree's code. argv: tree, the other's score-csv directory, output directory.
 CROSS_LOAD_CHILD = """
 import sys
 from pathlib import Path
@@ -115,7 +116,7 @@ call_cli(["reliability", *common, "--bins", str(BINS), "--out", str(out / "relia
 call_cli(["distributions", *common, "--out", str(out / "distributions.csv")])
 call_cli(["weight-norms", *common, "--out", str(out / "weight_norms.csv")])
 """
-# Each cross-loaded output -> the base's own output, relative to its score-csv directory.
+# Each cross-loaded output -> the other tree's own output, relative to its score-csv directory.
 CROSS_LOADED = {"eval.stdout": "eval.stdout", "reliability.csv": "op/reliability.csv",
                 "distributions.csv": "op/distributions.csv", "weight_norms.csv": "op/weight_norms.csv"}
 
@@ -163,15 +164,26 @@ def diff_trees(a: Path, b: Path) -> tuple[int, list[str]]:
                         if n not in fa or n not in fb or fa[n].read_bytes() != fb[n].read_bytes()]
 
 
-def cross_load(tree: Path, base_score: Path, out: Path) -> tuple[int, list[str]]:
-    """Score the base's ``score-csv`` checkpoint and dataset with ``tree``'s code:
-    (outputs compared, ``cross-load/<file>`` for each that differs from the
-    base's own, or that either side did not write)."""
+def cross_load(tree: Path, base_score: Path, out: Path, label: str = "cross-load") -> tuple[int, list[str]]:
+    """Score another tree's ``score-csv`` checkpoint and dataset, in ``base_score``,
+    with ``tree``'s code: (outputs compared, ``<label>/<file>`` for each that
+    differs from the other tree's own, or that either side did not write)."""
     subprocess.run([sys.executable, "-c", CROSS_LOAD_CHILD, str(tree), str(base_score), str(out)],
                    cwd=tree, env=child_env(), timeout=RUN_TIMEOUT_S)
     read = lambda path: path.read_bytes() if path.is_file() else None
-    return len(CROSS_LOADED), [f"cross-load/{name}" for name, own in CROSS_LOADED.items()
+    return len(CROSS_LOADED), [f"{label}/{name}" for name, own in CROSS_LOADED.items()
                                if read(out / name) is None or read(out / name) != read(base_score / own)]
+
+
+def cross_load_both_ways(trees: dict[str, Path], workdir: Path) -> tuple[int, list[str]]:
+    """:func:`cross_load` of the parent's files with the change's code
+    (``cross-load``), then of the change's files with the parent's code
+    (``cross-load-reverse``): (outputs compared, those that differ)."""
+    compared, differing = 0, []
+    for reader, writer, label in (("change", "parent", "cross-load"), ("parent", "change", "cross-load-reverse")):
+        n, names = cross_load(trees[reader], workdir / f"artifacts-{writer}" / "score-csv", workdir / label, label)
+        compared, differing = compared + n, differing + names
+    return compared, differing
 
 
 def bench(tree: Path, seed: int, seconds: float, trace: int) -> dict:
@@ -291,8 +303,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: the {side} tree's workloads failed (traceback above)", file=sys.stderr)
                 return 1
         compared, differing = diff_trees(workdir / "artifacts-parent", workdir / "artifacts-change")
-        crossed, cross_differing = cross_load(trees["change"], workdir / "artifacts-parent" / "score-csv",
-                                              workdir / "cross-load")
+        crossed, cross_differing = cross_load_both_ways(trees, workdir)
         compared, differing = compared + crossed, differing + cross_differing
         print(f"artifacts (seed {ARTIFACT_SEED}): {len(differing)} of {compared} files differ")
         for name in differing:
