@@ -116,7 +116,8 @@ def gen_gaussian_blobs(
     """Isotropic Gaussian blobs around unit-sphere centers, plus a balanced test set."""
     counts = np.asarray(counts, dtype=np.int64)
     check_fields({"dim": _number(">= 2", lambda v: v >= 2, integer=True), "spread": _POSITIVE,
-                  "test_per_class": _AT_LEAST_ONE}, {"dim": dim, "spread": spread, "test_per_class": test_per_class})
+                  "test_per_class": _AT_LEAST_ONE, "seed": SIDECAR_RULES["seed"]},
+                 {"dim": dim, "spread": spread, "test_per_class": test_per_class, "seed": seed})
     k = len(counts)
     total = sum(counts.tolist())  # Python ints: an int64 sum would wrap
     if total >= 2**63:

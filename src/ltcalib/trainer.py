@@ -10,6 +10,7 @@ label-aware smoothing, plain CE, or per-class weighted CE.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Callable
@@ -62,10 +63,13 @@ __all__ = [
 
 class DivergenceError(RuntimeError):
     """A non-finite training loss, at a stage (1 or 2), an epoch and a step of
-    that epoch (both counted from 0)."""
+    that epoch (both counted from 0); with no step, the evaluation that ended
+    that epoch scored the model's own training rows to a NaN probability."""
 
-    def __init__(self, stage: int, epoch: int, step: int):
-        super().__init__(f"non-finite loss at stage {stage}, epoch {epoch}, step {step}")
+    def __init__(self, stage: int, epoch: int, step: int | None = None):
+        where = f"stage {stage}, epoch {epoch}"
+        super().__init__(f"non-finite evaluation at {where}: the model overflows its own training rows"
+                         if step is None else f"non-finite loss at {where}, step {step}")
         self.stage, self.epoch, self.step = stage, epoch, step
 
 
@@ -340,8 +344,8 @@ class Model:
 
 
 # numpy's overflow warnings stay quiet in training and evaluation: a non-finite
-# loss is reported once, as the DivergenceError that names where it happened,
-# and a non-finite metric as the ValueError of write_metrics_csv.
+# loss or evaluation is reported once, as the DivergenceError that names where
+# it happened.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
@@ -369,7 +373,8 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
     run the model's forward chain on arrays, take an SGD step on the soft CE
     against the mixup targets or ``targets(labels)``, and append one curve row
     per epoch to ``metrics``; ``final`` is set to the last epoch's evaluation,
-    which scored the model returned."""
+    which scored the model returned. A NaN ECE (the model overflows its
+    training rows too) raises :class:`DivergenceError` for that epoch."""
     mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
     mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
     steps = cfg.batches_per_epoch
@@ -395,6 +400,8 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
             opt.step(lr)
         if metrics is not None:
             ev = evaluate(model, ds)
+            if math.isnan(ev["ece"]):
+                raise DivergenceError(stage, epoch)
             metrics.append({"epoch": epoch, "stage": stage, "lr": lr,
                             "train_loss": float(np.mean(losses)),
                             "test_acc": ev["accuracy"], "ece": ev["ece"]})
@@ -461,12 +468,17 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
                 mixup=cfg.mixup_stage2, mix_tag=0x9D, targets=targets, metrics=metrics, final=final)
 
 
-def run(cfg: TrainConfig, ds: LongTailedDataset) -> dict:
+def run(cfg: TrainConfig, ds: LongTailedDataset, stage1: tuple | None = None) -> dict:
     """Full pipeline; returns final metrics, per-epoch curves, and the model. The
-    final metrics are the last epoch's evaluation (Stage 1 has an epoch at least)."""
-    metrics: list[dict] = []
-    final: dict = {}
-    model = train_stage1(cfg, ds, metrics, final)
+    final metrics are the last epoch's evaluation (Stage 1 has an epoch at least).
+    ``stage1``, a ``(model, curves, final)`` triple from :func:`train_stage1` on a
+    config with this one's Stage-1 fields, takes the place of training Stage 1; it
+    is deep-copied, since Stage 2 writes the backbone's BN running statistics."""
+    if stage1 is None:
+        metrics, final = [], {}
+        model = train_stage1(cfg, ds, metrics, final)
+    else:
+        model, metrics, final = copy.deepcopy(stage1)
     if cfg.stage2_epochs > 0:
         model = train_stage2(cfg, model, ds, metrics, final)
     return {"config": asdict(cfg), "final": final, "curves": metrics, "model": model}
@@ -477,19 +489,31 @@ ABLATION_CELLS = [(mu, sl, las) for mu in (False, True) for sl in (False, True)
 
 
 def run_ablation_grid(base_cfg: TrainConfig, ds: LongTailedDataset) -> list[dict]:
-    """The 2^3 (mixup, shift-BN, smoothing) toggle grid with per-cell seeds."""
+    """The 2^3 (mixup, shift-BN, smoothing) toggle grid, every cell on the base
+    seed. Only ``mixup_stage1`` reaches Stage 1, so Stage 1 is trained once per
+    mixup setting and the four cells that share it each :func:`run` Stage 2 from
+    it; each cell equals ``run`` on its own config. A Stage-1 divergence is the
+    ``error`` of the four cells that share that Stage 1."""
     results = []
-    base = asdict(base_cfg)
-    for i, (mu, sl, las) in enumerate(ABLATION_CELLS):
-        d = dict(base)
-        d.update(mixup_stage1=mu, shift_bn=sl, stage2_loss="las" if las else "ce",
-                 seed=base_cfg.seed + i)
-        cell = {"mixup_stage1": mu, "shift_bn": sl, "las": las, "seed": d["seed"]}
-        try:
-            res = run(TrainConfig.from_dict(d), ds)
-            cell.update(accuracy=res["final"]["accuracy"], ece=res["final"]["ece"])
-        except DivergenceError as exc:
-            cell.update(error=str(exc))
+    stage1: dict[bool, tuple | str] = {}  # per mixup setting: (model, curves, final) or an error
+    for mu, sl, las in ABLATION_CELLS:
+        cfg = TrainConfig.from_dict(dict(asdict(base_cfg), mixup_stage1=mu, shift_bn=sl,
+                                         stage2_loss="las" if las else "ce"))
+        cell = {"mixup_stage1": mu, "shift_bn": sl, "las": las, "seed": cfg.seed}
+        if mu not in stage1:
+            metrics, final = [], {}
+            try:
+                stage1[mu] = (train_stage1(cfg, ds, metrics, final), metrics, final)
+            except DivergenceError as exc:
+                stage1[mu] = str(exc)
+        if isinstance(stage1[mu], str):
+            cell.update(error=stage1[mu])
+        else:
+            try:
+                res = run(cfg, ds, stage1=stage1[mu])
+                cell.update(accuracy=res["final"]["accuracy"], ece=res["final"]["ece"])
+            except DivergenceError as exc:
+                cell.update(error=str(exc))
         results.append(cell)
     return results
 

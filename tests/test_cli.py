@@ -112,7 +112,8 @@ class TestGenData:
     @pytest.mark.parametrize("flag, value, named", [("--spread", "1e308", "spread"),
                                                     ("--nmax", str(10**20), "n_max"),
                                                     ("--nmax", str(2**63 - 1), "too big"),
-                                                    ("--seed", str(2**63), "seed")])
+                                                    ("--seed", str(2**63), "seed"),
+                                                    ("--seed", "-1", "seed")])
     def test_value_its_readers_would_refuse_exits_usage_with_one_line_and_writes_nothing(
             self, tmp_path, capsys, flag, value, named):
         args = {"--classes": "3", "--nmax": "10", "--nmin": "2", "--dim": "3", flag: value}
@@ -209,21 +210,26 @@ class TestTrain:
     def test_divergence_exits_3_with_one_stderr_line_naming_the_stage(self, workspace, tmp_path):
         # A child process, so that numpy's warnings reach stderr as they would
         # in a shell rather than pytest's warning capture.
-        cfg_path = tmp_path / "diverge.json"
-        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, lr=1e12)))
-        proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", "train", "--config", str(cfg_path),
-                               "--data", str(workspace / "blobs"), "--out", str(tmp_path / "o")],
-                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-        assert proc.returncode == EXIT_DIVERGENCE
-        assert re.fullmatch(r"divergence: non-finite loss at stage [12], epoch \d+, step \d+\n",
-                            proc.stderr), proc.stderr
-        assert not (tmp_path / "o" / "model.json").exists()
+        # At lr 1e12 the loss stays finite through Stage 1, whose last evaluation
+        # overflows the training rows too; at 1e14 the loss itself overflows.
+        for lr, expected in [(1e12, r"non-finite evaluation at stage 1, epoch 2: "
+                                    r"the model overflows its own training rows"),
+                             (1e14, r"non-finite loss at stage [12], epoch \d+, step \d+")]:
+            cfg_path = tmp_path / "diverge.json"
+            cfg_path.write_text(json.dumps(dict(TINY_CONFIG, lr=lr)))
+            proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", "train", "--config", str(cfg_path),
+                                   "--data", str(workspace / "blobs"), "--out", str(tmp_path / "o")],
+                                  capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+            assert proc.returncode == EXIT_DIVERGENCE
+            assert re.fullmatch(f"divergence: {expected}\n", proc.stderr), proc.stderr
+            assert not (tmp_path / "o" / "model.json").exists()
 
     # A: a learning rate that leaves finite weights near 3e299, whose forward
-    # pass overflows on every test row: a non-finite metric, exit 1. B: a test
+    # pass overflows on every row: a divergence, exit 3 from train; ablate records
+    # it as the error of every cell that trained that model and exits 0. B: a test
     # row of 1.7e308 features that a finite model overflows: a data fault, exit 2.
     @pytest.mark.parametrize("probe", ["lr_1e300", "test_row_1.7e308"])
-    def test_non_finite_metric_exits_usage_with_one_stderr_line_and_writes_no_file(self, tmp_path, probe):
+    def test_non_finite_metric_exits_with_one_stderr_line_naming_its_cause_and_writes_no_file(self, tmp_path, probe):
         assert main(["gen-data", "--classes", "3", "--nmax", "60", "--nmin", "6", "--dim", "3",
                      "--seed", "3", "--out", str(tmp_path / "d")]) == EXIT_OK
         config = {"lr": 1e300, "stage1_epochs": 1, "stage1_schedule": {"kind": "cosine"}, "stage2_epochs": 0,
@@ -236,18 +242,24 @@ class TestTrain:
             test_csv.write_bytes(b"\r\n".join(lines))
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         (tmp_path / "o").mkdir()
+        divergence = "non-finite evaluation at stage 1, epoch 0: the model overflows its own training rows"
         # A child process, so that numpy's warnings reach stderr as in a shell.
-        for command in ["train"] if probe == "lr_1e300" else ["train", "ablate"]:
+        for command in ["train", "ablate"]:
+            out = tmp_path / ("o" if command == "train" or probe != "lr_1e300" else "grid")
             proc = subprocess.run([sys.executable, "-m", "ltcalib.cli", command, "--config", str(tmp_path / "cfg.json"),
-                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")],
+                                   "--data", str(tmp_path / "d"), "--out", str(out)],
                                   capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-            if probe == "lr_1e300":
-                assert proc.returncode == EXIT_USAGE
-                assert proc.stderr.startswith("config error: metrics: ") and proc.stderr.count("\n") == 1, proc.stderr
-            else:
+            if probe != "lr_1e300":
                 assert proc.returncode == EXIT_IO
                 assert proc.stderr == (f"i/o error: {tmp_path / 'd.test.csv'}: data row 1 overflows the "
                                        "checkpoint's forward pass to a NaN probability\n"), proc.stderr
+            elif command == "train":
+                assert proc.returncode == EXIT_DIVERGENCE
+                assert proc.stderr == f"divergence: {divergence}\n", proc.stderr
+            else:
+                assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+                cells = json.loads((out / "ablation.json").read_text())
+                assert [c["error"] for c in cells] == [divergence] * 8
             assert list((tmp_path / "o").iterdir()) == []
 
     def test_width_too_large_to_allocate_exits_usage_with_one_line(self, workspace, tmp_path, capsys):

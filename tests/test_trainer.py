@@ -437,31 +437,96 @@ class TestFinalEvaluation:
         with pytest.raises(DatasetFormatError, match="^test split: data row 3 overflows "):
             evaluate(run(tiny_cfg(), ds)["model"], dataclasses.replace(bad, test_path=None))
 
-    def test_a_model_that_overflows_its_training_rows_keeps_a_nan_metric(self, ds):
-        res = run(tiny_cfg(lr=1e300, stage1_epochs=1, stage1_schedule={"kind": "cosine"},
-                           stage2_epochs=0, batches_per_epoch=1), ds)
-        assert math.isnan(res["final"]["ece"])
+    def test_a_model_that_overflows_its_training_rows_is_a_divergence_at_that_epoch(self, ds):
+        cfg = tiny_cfg(lr=1e300, stage1_epochs=1, stage1_schedule={"kind": "cosine"},
+                       stage2_epochs=0, batches_per_epoch=1)
+        assert math.isnan(evaluate(train_stage1(cfg, ds), ds)["ece"])
+        with pytest.raises(DivergenceError) as exc:
+            run(cfg, ds)
+        assert (exc.value.stage, exc.value.epoch, exc.value.step) == (1, 0, None)
+        assert str(exc.value) == ("non-finite evaluation at stage 1, epoch 0: "
+                                  "the model overflows its own training rows")
+
+
+# Base configs of the grid: the defaults, where shift-mode Stage 2 writes the BN
+# statistics on every step, and grid-c10's warm pass with no concurrent update.
+GRID_BASES = {
+    "concurrent_shift": dict(stage1_epochs=2, stage2_epochs=1, stage1_schedule={"kind": "cosine"}),
+    "warm_pass": dict(stage1_epochs=2, stage2_epochs=1, stage1_schedule={"kind": "cosine"},
+                      bn_warm_steps=20, bn_concurrent=False, eps1=0.3, eps_k=0.0, lr_ratio_dw=0.5),
+}
+
+
+def cell_key(cfg):
+    return cfg.mixup_stage1, cfg.shift_bn, cfg.stage2_loss == "las"
+
+
+@pytest.fixture(scope="module")
+def grids(ds):
+    """Per base config: the grid's cells, the configs ``train_stage1`` was called
+    with, and each ``trainer.run`` call's config and result."""
+    out = {}
+    for name, patch in GRID_BASES.items():
+        stage1_calls, runs = [], []
+        train, whole = trainer.train_stage1, trainer.run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "train_stage1", lambda cfg, *a, **kw: stage1_calls.append(cfg) or train(cfg, *a, **kw))
+            mp.setattr(trainer, "run", lambda cfg, *a, **kw: runs.append((cfg, whole(cfg, *a, **kw))) or runs[-1][1])
+            cells = run_ablation_grid(tiny_cfg(**patch), ds)
+        out[name] = cells, stage1_calls, runs
+    return out
 
 
 class TestAblationGrid:
-    def test_grid_has_eight_cells(self, ds):
-        results = run_ablation_grid(tiny_cfg(stage1_epochs=2, stage2_epochs=1,
-                                             stage1_schedule={"kind": "cosine"}), ds)
+    def test_grid_has_eight_cells(self, grids):
+        results = grids["concurrent_shift"][0]
         assert len(results) == len(ABLATION_CELLS) == 8
         combos = {(r["mixup_stage1"], r["shift_bn"], r["las"]) for r in results}
         assert len(combos) == 8
 
-    def test_baseline_cell_matches_standalone_run(self, ds):
-        base = tiny_cfg(stage1_epochs=2, stage2_epochs=1,
-                        stage1_schedule={"kind": "cosine"})
-        results = run_ablation_grid(base, ds)
-        cell = results[0]
-        assert (cell["mixup_stage1"], cell["shift_bn"], cell["las"]) == (False, False, False)
-        solo = run(tiny_cfg(stage1_epochs=2, stage2_epochs=1,
-                            stage1_schedule={"kind": "cosine"},
-                            mixup_stage1=False, shift_bn=False, stage2_loss="ce"), ds)
-        assert cell["accuracy"] == solo["final"]["accuracy"]
-        assert cell["ece"] == solo["final"]["ece"]
+    @pytest.mark.parametrize("base", GRID_BASES)
+    def test_stage1_is_trained_once_per_mixup_setting_and_run_once_per_cell(self, grids, base):
+        _, stage1_calls, runs = grids[base]
+        assert [cfg.mixup_stage1 for cfg in stage1_calls] == [False, True]
+        assert [cell_key(cfg) for cfg, _ in runs] == ABLATION_CELLS
+
+    @pytest.mark.parametrize("base", GRID_BASES)
+    @pytest.mark.parametrize("index", range(8))
+    def test_every_cell_matches_standalone_run(self, ds, grids, base, index):
+        cells, _, runs = grids[base]
+        cfg, shared = runs[index]
+        assert cell_key(cfg) == ABLATION_CELLS[index]
+        solo = run(cfg, ds)
+        assert cfg.seed == tiny_cfg().seed
+        assert cells[index] == dict(zip(("mixup_stage1", "shift_bn", "las"), ABLATION_CELLS[index]),
+                                    seed=cfg.seed, accuracy=solo["final"]["accuracy"], ece=solo["final"]["ece"])
+        assert shared["final"] == solo["final"]
+        assert shared["curves"] == solo["curves"]
+        assert ({k: v.tobytes() for k, v in shared["model"].state_arrays().items()}
+                == {k: v.tobytes() for k, v in solo["model"].state_arrays().items()})
+
+    @pytest.mark.parametrize("diverged", [False, True], ids=["no_mixup", "mixup"])
+    def test_a_stage1_divergence_is_the_error_of_the_four_cells_sharing_it(self, ds, monkeypatch, diverged):
+        stage1_calls, runs = [], []
+        train, whole = trainer.train_stage1, trainer.run
+
+        def stage1(cfg, *a, **kw):
+            stage1_calls.append(cfg.mixup_stage1)
+            if cfg.mixup_stage1 == diverged:
+                raise DivergenceError(1, 0, 2)
+            return train(cfg, *a, **kw)
+
+        monkeypatch.setattr(trainer, "train_stage1", stage1)
+        monkeypatch.setattr(trainer, "run", lambda cfg, *a, **kw: runs.append(cell_key(cfg)) or whole(cfg, *a, **kw))
+        cells = run_ablation_grid(tiny_cfg(**GRID_BASES["concurrent_shift"]), ds)
+        assert sorted(stage1_calls) == [False, True]
+        assert runs == [key for key in ABLATION_CELLS if key[0] != diverged]
+        for cell in cells:
+            if cell["mixup_stage1"] == diverged:
+                assert set(cell) == {"mixup_stage1", "shift_bn", "las", "seed", "error"}
+                assert cell["error"] == "non-finite loss at stage 1, epoch 0, step 2"
+            else:
+                assert "error" not in cell and math.isfinite(cell["accuracy"])
 
 
 class TestArtifacts:

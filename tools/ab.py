@@ -13,16 +13,18 @@ sides' files carry the time of export as their mtime.
 
 Byte-diff: in each tree, every workload of ``perfbench/workloads.py`` runs its
 set-up and one operation for one seed, then ``train`` runs the five small
-``TRAIN_VARIANTS`` configs on a gen-data set of that seed. Every file they write
-(gen-data files, the ``train-c100`` outputs, ``ablation.json``, the scoring
-checkpoint and outputs, each variant's config and train outputs) and the
-``eval`` stdout is compared byte for byte. Then each tree's code runs
-``eval``, ``reliability``, ``distributions`` and ``weight-norms`` on the other
-tree's ``score-csv`` checkpoint and dataset, and each output is compared with
-that tree's own: ``cross-load/<file>`` is the working tree's code on the base's
-files, ``cross-load-reverse/<file>`` the base's code on the working tree's. This
-shows that each side reads the checkpoints and datasets the other wrote. Every
-file that differs, or exists on one side only, is listed.
+``TRAIN_VARIANTS`` configs on a gen-data set of that seed, and ``ablate`` runs
+``TRAIN_BASE`` there (the shift-mode grid, which ``grid-c10`` does not run).
+Every file they write (gen-data files, the ``train-c100`` outputs, both
+``ablation.json`` files, the scoring checkpoint and outputs, each variant's
+config and train outputs) and the ``eval`` stdout is compared byte for byte.
+Then each tree's code runs ``eval``, ``reliability``, ``distributions`` and
+``weight-norms`` on the other tree's ``score-csv`` checkpoint and dataset, and
+each output is compared with that tree's own: ``cross-load/<file>`` is the
+working tree's code on the base's files, ``cross-load-reverse/<file>`` the
+base's code on the working tree's. This shows that each side reads the
+checkpoints and datasets the other wrote. Every file that differs, or exists on
+one side only, is listed.
 
 Timing: ``--pairs N`` runs ``perfbench/run.py --workload all --trace 0``, with
 ``--seconds`` from ``BENCHMARK.json``'s ``run_seconds``, on both trees for seeds 1..N, the base first for odd seeds and the change first
@@ -75,8 +77,8 @@ TRAIN_VARIANTS = {
 }
 
 # Run inside each tree: the set-up and one operation of every workload, then
-# the train variants, with that tree's ltcalib and perfbench.
-# argv: tree, output directory, seed, {variant: config} as JSON.
+# the train variants and the ablate grid, with that tree's ltcalib and perfbench.
+# argv: tree, output directory, seed, {variant: config} as JSON, the ablate config as JSON.
 ARTIFACTS_CHILD = """
 import json
 import sys
@@ -99,6 +101,9 @@ for name, config in json.loads(sys.argv[4]).items():
     (inputs / f"{name}.json").write_text(json.dumps(config))
     call_cli(["train", "--config", str(inputs / f"{name}.json"), "--data", str(inputs / "blobs"),
               "--out", str(out / "train-variants" / name)])
+(inputs / "ablate.json").write_text(sys.argv[5])
+call_cli(["ablate", "--config", str(inputs / "ablate.json"), "--data", str(inputs / "blobs"),
+          "--out", str(out / "train-variants" / "ablate")])
 """
 
 # Run inside one tree: score the other tree's score-csv checkpoint and dataset
@@ -150,7 +155,8 @@ def child_env() -> dict:
 def write_artifacts(tree: Path, out: Path, seed: int) -> None:
     variants = {name: dict(TRAIN_BASE, seed=seed, **patch) for name, patch in TRAIN_VARIANTS.items()}
     subprocess.run([sys.executable, "-c", ARTIFACTS_CHILD, str(tree), str(out), str(seed),
-                    json.dumps(variants)], cwd=tree, env=child_env(), check=True, timeout=RUN_TIMEOUT_S)
+                    json.dumps(variants), json.dumps(dict(TRAIN_BASE, seed=seed))],
+                   cwd=tree, env=child_env(), check=True, timeout=RUN_TIMEOUT_S)
 
 
 def diff_trees(a: Path, b: Path) -> tuple[int, list[str]]:
