@@ -207,17 +207,20 @@ class MixupConfig:
 
 
 def one_hot(labels, k: int) -> np.ndarray:
+    """Rows of k zeros with a 1 at each label, shaped ``labels.shape + (k,)``."""
     labels = np.atleast_1d(np.asarray(labels))
-    out = np.zeros((len(labels), k))
-    out[np.arange(len(labels)), labels] = 1.0
+    out = np.zeros((*labels.shape, k))
+    out.reshape(-1, k)[np.arange(labels.size), labels.ravel()] = 1.0
     return out
 
 
 def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: int, lam=None):
     """Convex combination of two batches and of their (one-hot) labels.
 
-    y1/y2 may be integer labels or soft label rows; the returned label rows
-    are probability vectors. ``lam`` overrides the Beta(alpha, alpha) draw.
+    y1/y2 may be integer labels (one per row of x) or soft label rows (as many
+    axes as x); the returned label rows are probability vectors. ``lam``
+    overrides the Beta(alpha, alpha) draw: a float, or an array that broadcasts
+    against x, such as one λ per batch, shaped ``(n, 1, 1)``, for a stack of n.
     """
     if cfg.alpha <= 0:
         raise ValueError("mixup alpha must be positive")
@@ -225,8 +228,8 @@ def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: i
     x2 = np.asarray(x2, dtype=np.float64)
     if x1.shape != x2.shape:
         raise ValueError("mixup inputs must share a shape")
-    q1 = y1 if np.asarray(y1).ndim == 2 else one_hot(y1, k)
-    q2 = y2 if np.asarray(y2).ndim == 2 else one_hot(y2, k)
+    q1 = y1 if np.ndim(y1) == x1.ndim else one_hot(y1, k)
+    q2 = y2 if np.ndim(y2) == x1.ndim else one_hot(y2, k)
     if lam is None:
         lam = float(rng.beta(cfg.alpha, cfg.alpha))
     x = lam * x1 + (1.0 - lam) * x2

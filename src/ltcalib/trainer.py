@@ -285,9 +285,11 @@ class Model:
     def train_forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, list]:
         """Logits of a training batch on plain arrays, recording no tape, and the
         context :meth:`train_backward` needs: one entry per backbone kernel that
-        learns (none unless ``mode`` is train), then the classifier's."""
+        learns (none unless ``mode`` is train), then the classifier's. In train
+        mode ``x`` is the batch; in eval or shift mode it is the batch's features,
+        which the frozen backbone computed beforehand (see :func:`_fit`)."""
         if mode != net.TRAIN:
-            z, ctx = self.classifier.forward_arrays(self.backbone.frozen_features(x, mode))
+            z, ctx = self.classifier.forward_arrays(x)
             return z, [ctx]
         ctxs, h = [], x
         for lin, bn in zip(self.backbone.linears, self.backbone.norms):
@@ -365,6 +367,29 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
     return out
 
 
+def _draw_block(sampler: Sampler, mix_rng: np.random.Generator, n: int, *, cfg: TrainConfig,
+                k: int, mixup: bool, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs ``(n, B, d)`` and soft targets ``(n, B, k)`` of n steps. Each
+    step draws its batch, then (when ``mixup``) its permutation and its λ from
+    ``mix_rng``, in the order a step at a time drew them; mixup and ``targets``
+    then run once on the stack, elementwise or row by row, to the same bits."""
+    xs, ys, perms, lams = [], [], [], []
+    for _ in range(n):
+        x, y = sampler.next_batch(cfg.batch_size)
+        xs.append(x)
+        ys.append(y)
+        if mixup:
+            perms.append(mix_rng.permutation(len(x)))
+            lams.append(float(mix_rng.beta(cfg.mixup_alpha, cfg.mixup_alpha))
+                        if cfg.mixup_force_lam is None else cfg.mixup_force_lam)
+    xs, ys = np.array(xs), np.array(ys)
+    if not mixup:
+        return xs, targets(ys.ravel()).reshape(*ys.shape, k)
+    pairs = np.arange(n)[:, None], np.array(perms)  # step i's rows in perms[i]'s order
+    return mixup_batch(xs, ys, xs[pairs], ys[pairs], MixupConfig(alpha=cfg.mixup_alpha),
+                       mix_rng, k, lam=np.array(lams, dtype=np.float64)[:, None, None])
+
+
 @np.errstate(**_QUIET)
 def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
          stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
@@ -374,30 +399,33 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
     against the mixup targets or ``targets(labels)``, and append one curve row
     per epoch to ``metrics``; ``final`` is set to the last epoch's evaluation,
     which scored the model returned. A NaN ECE (the model overflows its
-    training rows too) raises :class:`DivergenceError` for that epoch."""
+    training rows too) raises :class:`DivergenceError` for that epoch.
+
+    Batches are drawn a block of steps at a time (:func:`_draw_block`). A frozen
+    backbone (eval or shift mode) depends on the batch alone, so it runs once
+    per block; a block ends at the epoch's end, whose evaluation reads the
+    shift-mode running statistics."""
     mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
-    mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
     steps = cfg.batches_per_epoch
     if steps is None:
         steps = math.ceil(len(ds.labels) / cfg.batch_size)
+    per_block = net.block_steps(cfg.batch_size, max(ds.dim, ds.num_classes, *cfg.hidden))
     for epoch in range(epochs):
         lr = lr_at(schedule, epoch, epochs, base_lr)
         losses = []
-        for step in range(steps):
-            x, y = sampler.next_batch(cfg.batch_size)
-            if mixup:
-                perm = mix_rng.permutation(len(x))
-                x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, ds.num_classes,
-                                   lam=cfg.mixup_force_lam)
-            else:
-                q = targets(y)
-            z, ctx = model.train_forward(x, mode)
-            loss, ce_ctx = softmax_cross_entropy_forward(q, z)
-            losses.append(loss.item())
-            if not np.isfinite(losses[-1]):
-                raise DivergenceError(stage, epoch, step)
-            model.train_backward(ctx, softmax_cross_entropy_backward(ce_ctx))
-            opt.step(lr)
+        for start in range(0, steps, per_block):
+            xs, qs = _draw_block(sampler, mix_rng, min(per_block, steps - start), cfg=cfg,
+                                 k=ds.num_classes, mixup=mixup, targets=targets)
+            if mode != net.TRAIN:
+                xs = model.backbone.forward(xs, mode).values
+            for step, (x, q) in enumerate(zip(xs, qs), start):
+                z, ctx = model.train_forward(x, mode)
+                loss, ce_ctx = softmax_cross_entropy_forward(q, z)
+                losses.append(loss.item())
+                if not math.isfinite(losses[-1]):
+                    raise DivergenceError(stage, epoch, step)
+                model.train_backward(ctx, softmax_cross_entropy_backward(ce_ctx))
+                opt.step(lr)
         if metrics is not None:
             ev = evaluate(model, ds)
             if math.isnan(ev["ece"]):

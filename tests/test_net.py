@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -187,6 +188,71 @@ class TestBackbone:
         for p, v in zip(params, state):
             assert p.values.tobytes() == v.tobytes()
         assert_grads_close(analytic, num)
+
+
+class TestBlockForward:
+    """A stack ``(n, B, in)`` of n batches through the frozen backbone against n
+    single-batch calls, byte for byte. numpy 2.4 with OpenBLAS runs a stacked
+    product as one gemm per ``(B, in)`` slice, and reduces each slice over its
+    rows as it reduces one batch; that is numpy's behaviour, not its contract.
+    A numpy that fuses the stacked product into one gemm would round it as a
+    flattened ``(n*B, in)`` product, whose bits differ (a 32->16 layer does):
+    these tests then fail, and training would no longer match its reference."""
+
+    @staticmethod
+    def _backbone(in_dim: int, rng) -> Backbone:
+        """The presets' layer widths, with random affine and running statistics."""
+        bb = Backbone(BackboneConfig(in_dim=in_dim, hidden=[32, 16], seed=2))
+        for lin in bb.linears:
+            lin.bias.values = rng.standard_normal(lin.bias.values.shape)
+        for bn in bb.norms:
+            bn.running_mean = rng.standard_normal(bn.running_mean.shape)
+            bn.running_var = rng.random(bn.running_var.shape) + 0.5
+            bn.scale.values = rng.standard_normal(bn.scale.values.shape)
+            bn.shift.values = rng.standard_normal(bn.shift.values.shape)
+        return bb
+
+    @pytest.mark.parametrize("steps", [1, 5, net.BLOCK_STEPS + 3])
+    @pytest.mark.parametrize("batch", [7, 64])
+    @pytest.mark.parametrize("in_dim", [16, 24])
+    @pytest.mark.parametrize("mode", [net.EVAL, net.SHIFT])
+    def test_a_block_equals_its_batches_one_at_a_time(self, mode, in_dim, batch, steps):
+        rng = np.random.default_rng(in_dim * batch + steps)
+        block_bb = self._backbone(in_dim, rng)
+        step_bb = copy.deepcopy(block_bb)
+        xs = rng.standard_normal((steps, batch, in_dim)) * 2.0 + 0.5
+        block = block_bb.forward(xs, mode).values
+        assert block.shape == (steps, batch, 16)
+        assert block.tobytes() == np.stack([step_bb.forward(x, mode).values for x in xs]).tobytes()
+        for name, a in block_bb.state_arrays().items():
+            assert a.tobytes() == step_bb.state_arrays()[name].tobytes(), name
+
+    def test_a_block_of_batches_of_one_is_refused_in_shift_mode(self, rng):
+        bb = self._backbone(16, rng)
+        with pytest.raises(ValueError, match="batch size >= 2"):
+            bb.forward(rng.standard_normal((3, 1, 16)), net.SHIFT)
+
+    @pytest.mark.parametrize("batch", [7, 64])
+    def test_shift_stats_in_blocks_equal_single_batch_forwards(self, rng, batch):
+        ds = gen_gaussian_blobs([80, 30, 9], dim=16, spread=0.5, seed=4)
+        block_bb = self._backbone(16, rng)
+        step_bb = copy.deepcopy(block_bb)
+        block_sampler, step_sampler = Sampler("class", ds, seed=8), Sampler("class", ds, seed=8)
+        steps = 2 * net.BLOCK_STEPS + 5
+        assert net.block_steps(batch, 32) == net.BLOCK_STEPS
+        bn_shift_stats(block_bb, block_sampler, steps=steps, batch=batch)
+        for _ in range(steps):
+            step_bb.forward(step_sampler.next_batch(batch)[0], net.SHIFT)
+        for name, a in block_bb.state_arrays().items():
+            assert a.tobytes() == step_bb.state_arrays()[name].tobytes(), name
+        assert block_sampler.rng.bit_generator.state == step_sampler.rng.bit_generator.state
+
+    @pytest.mark.parametrize("batch, width, steps", [(64, 32, net.BLOCK_STEPS), (64, 100, 5),
+                                                     (7, 16, net.BLOCK_STEPS), (4096, 512, 1),
+                                                     (10**6, 10**6, 1)])
+    def test_a_block_holds_at_least_one_step_and_at_most_its_byte_cap(self, batch, width, steps):
+        assert net.block_steps(batch, width) == steps
+        assert steps == 1 or steps * 8 * batch * width <= net.BLOCK_BYTES
 
 
 class TestCheckpoint:

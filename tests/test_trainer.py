@@ -7,7 +7,7 @@ import pytest
 
 from ltcalib import net, trainer
 from ltcalib.tensor import Tensor, softmax
-from ltcalib.data import DatasetFormatError, MixupConfig, gen_gaussian_blobs, mixup_batch
+from ltcalib.data import DatasetFormatError, MixupConfig, Sampler, gen_gaussian_blobs, mixup_batch, one_hot
 from ltcalib.head import GeneralizedHead
 from ltcalib.losses import (
     SmoothingSchedule,
@@ -295,19 +295,70 @@ CHAIN_CASES = {
     "lws-ce-mixup2-warm-and-concurrent": dict(head_mode="lws", stage2_loss="ce",
                                               mixup_stage2=True, bn_warm_steps=5),
     "no-bn-generalized-ce-concurrent": dict(batchnorm=False, hidden=[8, 4], stage2_loss="ce"),
+    "no-bn-no-hidden-warm-and-concurrent": dict(batchnorm=False, hidden=[], bn_warm_steps=5),
+    # 37 steps and 37 warm steps: two full blocks of net.BLOCK_STEPS and a ragged one.
+    "blocks-concurrent-shift": dict(batches_per_epoch=37),
+    "blocks-warm-only": dict(batches_per_epoch=37, bn_warm_steps=37, bn_concurrent=False),
+    "blocks-no-shift": dict(batches_per_epoch=37, shift_bn=False),
+    "blocks-mixup2-warm-and-concurrent": dict(batches_per_epoch=37, bn_warm_steps=37, mixup_stage2=True),
+    "blocks-batch7-warm-and-concurrent": dict(batches_per_epoch=37, bn_warm_steps=37, batch_size=7),
 }
 
 
+def _stepwise_shift_stats(backbone, sampler, steps, batch):
+    """``net.bn_shift_stats`` one batch at a time."""
+    for _ in range(steps):
+        backbone.forward(sampler.next_batch(batch)[0], net.SHIFT)
+
+
 class TestDirectChain:
-    """The tape-free training chain against a taped reference loop, byte for byte."""
+    """The tape-free training chain, which draws and runs a frozen backbone a
+    block of steps at a time, against a taped reference loop that takes one
+    step at a time, byte for byte."""
+
+    def test_the_block_cases_span_several_ragged_blocks(self, ds):
+        for case in CHAIN_CASES.values():
+            if case.get("batches_per_epoch") == 37:
+                cfg = tiny_cfg(**case)
+                width = max(ds.dim, ds.num_classes, *cfg.hidden)
+                assert 37 > net.block_steps(cfg.batch_size, width) and 37 % net.block_steps(cfg.batch_size, width)
 
     @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
     def test_matches_the_taped_reference(self, ds, case, monkeypatch):
         cfg = tiny_cfg(**CHAIN_CASES[case])
         chain = run(cfg, ds)
         monkeypatch.setattr(trainer, "_fit", _taped_fit)
+        monkeypatch.setattr(net, "bn_shift_stats", _stepwise_shift_stats)
         tape = run(cfg, ds)
         assert _run_bytes(chain) == _run_bytes(tape)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("targets, mixup, lam", [("las", False, None), ("weighted", False, None),
+                                                     (None, True, None), (None, True, 0.3), (None, True, 1)],
+                             ids=["las", "weighted", "mixup", "mixup-forced-lam", "mixup-forced-int-lam"])
+    @pytest.mark.parametrize("kind", Sampler.KINDS)
+    def test_a_block_equals_its_steps_drawn_one_at_a_time(self, ds, kind, targets, mixup, lam):
+        cfg, k, n = tiny_cfg(batch_size=7, mixup_force_lam=lam), ds.num_classes, 5
+        if targets == "las":
+            sched = SmoothingSchedule.from_counts(ds.class_counts, "concave", 0.4, 0.1, 2.0)
+            targets = lambda y: las_target_matrix(sched, y, k)
+        elif targets == "weighted":
+            targets = lambda y: one_hot(y, k) * effective_number_weights(ds.class_counts)[y][:, None]
+        block_sampler, step_sampler = Sampler(kind, ds, seed=11), Sampler(kind, ds, seed=11)
+        block_rng, step_rng = np.random.default_rng(12), np.random.default_rng(12)
+        xs, qs = trainer._draw_block(block_sampler, block_rng, n, cfg=cfg, k=k, mixup=mixup, targets=targets)
+        assert xs.shape == (n, 7, ds.dim) and qs.shape == (n, 7, k)
+        for x_block, q_block in zip(xs, qs):
+            x, y = step_sampler.next_batch(7)
+            if mixup:
+                perm = step_rng.permutation(7)
+                x, q = mixup_batch(x, y, x[perm], y[perm], MixupConfig(cfg.mixup_alpha), step_rng, k, lam=lam)
+            else:
+                q = targets(y)
+            assert x_block.tobytes() == x.tobytes() and q_block.tobytes() == q.tobytes()
+        assert block_sampler.rng.bit_generator.state == step_sampler.rng.bit_generator.state
+        assert block_rng.bit_generator.state == step_rng.bit_generator.state
 
 
 def _run_bytes(res) -> dict:

@@ -74,6 +74,8 @@ TRAIN_VARIANTS = {
     "crt_ce_batch48": {"head_mode": "crt", "stage2_loss": "ce", "batch_size": 48},
     "lws_no_mixup_stage1": {"head_mode": "lws", "mixup_stage1": False},
     "bn_warm_30_not_concurrent": {"bn_warm_steps": 30, "bn_concurrent": False},
+    # Epochs and a warm pass of two full blocks of steps and a ragged one.
+    "ragged_blocks_batch7": {"batch_size": 7, "batches_per_epoch": 37, "bn_warm_steps": 37, "mixup_stage2": True},
 }
 
 # Run inside each tree: the set-up and one operation of every workload, then
