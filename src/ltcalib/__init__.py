@@ -3,7 +3,7 @@
 Submodules:
   tensor  - float64 tensors with reverse-mode autodiff
   data    - synthetic long-tailed datasets, samplers, mixup
-  net     - linear / batch-norm layers and the MLP backbone
+  net     - linear / batch-norm / ReLU layers and the MLP backbone
   losses  - soft-target CE, weighted CE, label-aware smoothing
   head    - the Stage-1 linear classifier and the Stage-2 head (cRT / LWS / generalized)
   calib   - ECE, reliability bins, split accuracy, probability distributions
@@ -13,7 +13,7 @@ Submodules:
 """
 
 from .calib import PredictionLog, ece, reliability_bins, split_accuracy
-from .data import LongTailedDataset, MixupConfig, Sampler, gen_gaussian_blobs, make_longtail_profile, mixup_batch
+from .data import LongTailedDataset, Sampler, gen_gaussian_blobs, make_longtail_profile, mixup_batch
 from .head import GeneralizedHead, LinearClassifier
 from .losses import (
     SmoothingSchedule,

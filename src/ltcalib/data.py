@@ -22,7 +22,6 @@ __all__ = [
     "split_tags",
     "gen_gaussian_blobs",
     "Sampler",
-    "MixupConfig",
     "one_hot",
     "mixup_batch",
     "save_dataset",
@@ -196,16 +195,6 @@ class Sampler:
         return self.dataset.features[idx], self.dataset.labels[idx]
 
 
-@dataclass
-class MixupConfig:
-    alpha: float = 0.2
-    enabled: bool = True
-
-    def __post_init__(self):
-        if self.enabled and self.alpha <= 0:
-            raise ValueError("mixup alpha must be positive")
-
-
 def one_hot(labels, k: int) -> np.ndarray:
     """Rows of k zeros with a 1 at each label, shaped ``labels.shape + (k,)``."""
     labels = np.atleast_1d(np.asarray(labels))
@@ -214,7 +203,7 @@ def one_hot(labels, k: int) -> np.ndarray:
     return out
 
 
-def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: int, lam=None):
+def mixup_batch(x1, y1, x2, y2, alpha: float, rng: np.random.Generator, k: int, lam=None):
     """Convex combination of two batches and of their (one-hot) labels.
 
     y1/y2 may be integer labels (one per row of x) or soft label rows (as many
@@ -222,7 +211,7 @@ def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: i
     overrides the Beta(alpha, alpha) draw: a float, or an array that broadcasts
     against x, such as one λ per batch, shaped ``(n, 1, 1)``, for a stack of n.
     """
-    if cfg.alpha <= 0:
+    if alpha <= 0:
         raise ValueError("mixup alpha must be positive")
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
@@ -231,7 +220,7 @@ def mixup_batch(x1, y1, x2, y2, cfg: MixupConfig, rng: np.random.Generator, k: i
     q1 = y1 if np.ndim(y1) == x1.ndim else one_hot(y1, k)
     q2 = y2 if np.ndim(y2) == x1.ndim else one_hot(y2, k)
     if lam is None:
-        lam = float(rng.beta(cfg.alpha, cfg.alpha))
+        lam = float(rng.beta(alpha, alpha))
     x = lam * x1 + (1.0 - lam) * x2
     q = lam * q1 + (1.0 - lam) * q2
     return x, q

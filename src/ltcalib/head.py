@@ -1,8 +1,10 @@
 """The classifiers: Stage-1 z = W^T x and the Stage-2 head z = diag(s) (r*W + dW)^T x.
 
-Both have the kernel pair ``forward_arrays``/``backward_arrays`` that training
-runs, ``eval_logits``, the same logits with no context, which scoring runs,
-and a composite taped ``__call__``. In the head, W is the frozen Stage-1
+Both have the backbone layers' kernel pair: ``forward_arrays(x) -> (z, ctx)``
+and ``backward_arrays(ctx, g, input_grad) -> g_x``, which sets the learnable
+parameters' ``.grad``; training runs it. They also have ``eval_logits``, the
+same logits with no context, which scoring runs, a composite taped
+``__call__`` and ``parameters``. In the head, W is the frozen Stage-1
 classifier weight. The head degenerates to classifier re-training (cRT: r=0,
 s fixed at 1, dW learnable) and to learnable weight scaling (LWS: r=1, dW
 fixed at 0, s learnable); the generalized mode learns both s and dW, with a
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv
-from .tensor import Tensor, linear_backward, linear_forward
+from .tensor import Tensor
 
 __all__ = ["LinearClassifier", "GeneralizedHead"]
 
@@ -30,22 +32,20 @@ class LinearClassifier:
         self.w = Tensor(w, requires_grad=True)
 
     def forward_arrays(self, x: np.ndarray):
-        return linear_forward(x, self.w.values.T)  # x @ w: w.T's transpose is w itself
+        return x @ self.w.values, x
 
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
         """The logits of :meth:`forward_arrays` with no context."""
         return self.forward_arrays(x)[0]
 
-    def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
-        """Gradients (x, w) of :meth:`forward_arrays`; x's is None unless ``input_grad``."""
-        g_x, g_wt, _ = linear_backward(ctx, g, input_grad)
-        return g_x, g_wt.T  # the array x.T @ g, as the taped matmul gives it
+    def backward_arrays(self, x: np.ndarray, g: np.ndarray, input_grad: bool = True):
+        self.w.grad = x.T @ g
+        return g @ self.w.values.T if input_grad else None
 
     def __call__(self, x) -> Tensor:
         return (x if isinstance(x, Tensor) else Tensor(x)) @ self.w
 
-    def params(self) -> list[Tensor]:
-        """The parameters :meth:`backward_arrays` returns gradients of, in its order."""
+    def parameters(self) -> list[Tensor]:
         return [self.w]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -87,13 +87,12 @@ class GeneralizedHead:
         return z
 
     def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
-        """Gradients (x, dW, s) of :meth:`forward_arrays`; x's is None unless
-        ``input_grad``, and a frozen parameter's is None."""
+        """A frozen parameter's ``.grad`` is set to None."""
         x, eff, z = ctx
         g_z = g * self.s.values
-        return (g_z @ eff.T if input_grad else None,
-                x.T @ g_z if self.dw.requires_grad else None,
-                (g * z).sum(axis=0) if self.s.requires_grad else None)
+        self.dw.grad = x.T @ g_z if self.dw.requires_grad else None
+        self.s.grad = (g * z).sum(axis=0) if self.s.requires_grad else None
+        return g_z @ eff.T if input_grad else None
 
     def forward(self, x) -> Tensor:
         """Logits as the composite ``(x @ (Tensor(r * W) + dW)) * s`` of :meth:`forward_arrays`."""
@@ -102,8 +101,7 @@ class GeneralizedHead:
 
     __call__ = forward
 
-    def params(self) -> list[Tensor]:
-        """The parameters :meth:`backward_arrays` returns gradients of, in its order."""
+    def parameters(self) -> list[Tensor]:
         return [self.dw, self.s]
 
     def param_groups(self) -> list[dict]:

@@ -1,4 +1,13 @@
-"""Layers and the MLP backbone: linear, ReLU, batch normalization with shift mode."""
+"""Layers and the MLP backbone: linear, ReLU, batch normalization with shift mode.
+
+Every layer, like both classifiers in ``head``, has a taped ``__call__`` and a
+kernel pair on plain arrays: ``forward_arrays(x) -> (out, ctx)``, and
+``backward_arrays(ctx, g, input_grad) -> g_x``, which sets the layer's own
+parameters' ``.grad`` and returns x's gradient, or None when ``input_grad`` is
+false and the layer has parameters. Backbone layers also have
+``frozen_inplace``, their eval/shift forward on plain arrays, which may write
+over its input, ``parameters`` and ``state_arrays``.
+"""
 
 from __future__ import annotations
 
@@ -30,20 +39,65 @@ def _check_frozen_input(x, mode: str):
 class Linear:
     """y = x @ W.T + b with weight shape (out, in)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
+    prefix = "linear"  # of its checkpoint entries
+    mode = TRAIN  # the same in every mode
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         scale = np.sqrt(2.0 / in_dim)
         self.weight = Tensor(rng.standard_normal((out_dim, in_dim)) * scale, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """The composite ``x @ W.T + b`` of :func:`~ltcalib.tensor.linear_forward`."""
+        """The composite ``x @ W.T + b`` of :meth:`forward_arrays`."""
         if x.values.shape[1] != self.weight.values.shape[1]:
             raise ValueError(f"linear input width {x.values.shape[1]} != {self.weight.values.shape[1]}")
-        out = x @ self.weight.T
-        return out + self.bias if self.bias is not None else out
+        return x @ self.weight.T + self.bias
+
+    def forward_arrays(self, x: np.ndarray):
+        return x @ self.weight.values.T + self.bias.values, x
+
+    def backward_arrays(self, x: np.ndarray, g: np.ndarray, input_grad: bool = True):
+        self.weight.grad = (x.T @ g).T
+        self.bias.grad = g.sum(axis=0)
+        return g @ self.weight.values if input_grad else None
+
+    def frozen_inplace(self, h: np.ndarray) -> np.ndarray:
+        """The product ``h @ W.T``, the one array the layer allocates, plus the bias in place."""
+        out = h @ self.weight.values.T
+        out += self.bias.values
+        return out
 
     def parameters(self) -> list[Tensor]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight, self.bias]
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"weight": self.weight.values, "bias": self.bias.values}
+
+
+class ReLU:
+    """max(x, 0), written as ``x * (x > 0)`` so that a negative input gives -0.0."""
+
+    mode = TRAIN  # the same in every mode
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return relu(x)
+
+    def forward_arrays(self, x: np.ndarray):
+        mask = x > 0.0
+        return x * mask, mask
+
+    def backward_arrays(self, mask: np.ndarray, g: np.ndarray, input_grad: bool = True):
+        return g * mask
+
+    def frozen_inplace(self, h: np.ndarray) -> np.ndarray:
+        h *= h > 0.0
+        return h
+
+    def parameters(self) -> list[Tensor]:
+        return []
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {}
 
 
 class BatchNorm:
@@ -57,8 +111,11 @@ class BatchNorm:
              but the affine parameters are frozen and receive no gradient.
 
     Eval and shift modes run on plain values: their output carries no
-    gradient, and an input with ``requires_grad`` is rejected.
+    gradient, and an input with ``requires_grad`` is rejected. The kernel
+    pair is train mode's.
     """
+
+    prefix = "bn"
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         if not 0.0 < momentum <= 1.0:
@@ -72,7 +129,7 @@ class BatchNorm:
         self.mode = TRAIN
 
     def __call__(self, h: Tensor) -> Tensor:
-        """Train mode records the composite graph of :meth:`train_forward`;
+        """Train mode records the composite graph of :meth:`forward_arrays`;
         eval and shift modes record nothing."""
         if self.mode != TRAIN:
             _check_frozen_input(h, self.mode)
@@ -85,10 +142,9 @@ class BatchNorm:
         self._update_running(mu.values, var.values)
         return self.scale * (diff / (var + self.eps).sqrt()) + self.shift
 
-    def train_forward(self, h: np.ndarray):
+    def forward_arrays(self, h: np.ndarray):
         """Train mode on arrays: normalize by the batch statistics and fold
-        them into the running ones. Returns the output and the context for
-        :meth:`train_backward`."""
+        them into the running ones."""
         m = h.shape[0]
         if m < 2:
             raise ValueError("batch normalization needs batch size >= 2 in training modes")
@@ -104,25 +160,24 @@ class BatchNorm:
         x_hat = diff / sd
         return self.scale.values * x_hat + self.shift.values, (diff, sd, x_hat, inv_m)
 
-    def train_backward(self, ctx, g: np.ndarray):
-        """Gradients (input, scale, shift) of :meth:`train_forward`."""
+    def backward_arrays(self, ctx, g: np.ndarray, input_grad: bool = True):
         diff, sd, x_hat, inv_m = ctx
-        g_shift = g.sum(axis=0)
-        g_scale = (g * x_hat).sum(axis=0)
+        self.shift.grad = g.sum(axis=0)
+        self.scale.grad = (g * x_hat).sum(axis=0)
         g_xhat = g * self.scale.values
         g_sd = (-g_xhat * diff / sd**2).sum(axis=0)
         g_sq = (g_sd * 0.5 / sd * inv_m) * diff  # through diff * diff, once per factor
         g_diff = (g_xhat / sd + g_sq) + g_sq
         g_mean = -g_diff.sum(axis=0) * inv_m  # h's share through the batch mean
-        return g_diff + g_mean, g_scale, g_shift
+        return g_diff + g_mean
 
     def normalize(self, h: np.ndarray) -> np.ndarray:
         """Eval or shift mode on plain values: affine frozen, nothing recorded,
         ``h`` left as it was. Eval normalizes by the running statistics; shift
         normalizes by the batch statistics and folds them into the running ones."""
-        return self.normalize_inplace(np.array(h, dtype=np.float64))
+        return self.frozen_inplace(np.array(h, dtype=np.float64))
 
-    def normalize_inplace(self, h: np.ndarray) -> np.ndarray:
+    def frozen_inplace(self, h: np.ndarray) -> np.ndarray:
         """:meth:`normalize` written over the float64 array ``h``, which is returned.
         ``h`` may stack batches on leading axes, its batch axis being -2: shift mode
         then takes each batch's own statistics and folds them into the running
@@ -152,6 +207,10 @@ class BatchNorm:
     def parameters(self) -> list[Tensor]:
         return [self.scale, self.shift]
 
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {"scale": self.scale.values, "shift": self.shift.values,
+                "running_mean": self.running_mean, "running_var": self.running_var}
+
 
 @dataclass
 class BackboneConfig:
@@ -167,7 +226,8 @@ class BackboneConfig:
 
 
 class Backbone:
-    """MLP feature extractor: repeated [linear -> (BN) -> ReLU] blocks.
+    """MLP feature extractor: repeated [linear -> (BN) -> ReLU] blocks, held as
+    one flat list of layers.
 
     With no hidden widths configured the backbone is the identity map.
     """
@@ -175,20 +235,25 @@ class Backbone:
     def __init__(self, cfg: BackboneConfig):
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB0]))
-        self.linears: list[Linear] = []
-        self.norms: list[BatchNorm | None] = []
+        self.layers: list[Linear | BatchNorm | ReLU] = []
         prev = cfg.in_dim
         for width in cfg.hidden:
-            self.linears.append(Linear(prev, width, rng))
-            self.norms.append(BatchNorm(width, cfg.bn_momentum) if cfg.batchnorm else None)
+            self.layers.append(Linear(prev, width, rng))
+            if cfg.batchnorm:
+                self.layers.append(BatchNorm(width, cfg.bn_momentum))
+            self.layers.append(ReLU())
             prev = width
+
+    @property
+    def norms(self) -> list[BatchNorm]:
+        """The batch-norm layers, in order."""
+        return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
 
     def set_mode(self, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown backbone mode {mode!r}; expected one of {MODES}")
-        for bn in self.norms:
-            if bn is not None:
-                bn.mode = mode
+        for layer in self.layers:
+            layer.mode = mode
 
     def forward(self, x, mode: str) -> Tensor:
         """Features of a batch. Train mode records the tape; eval and shift
@@ -201,16 +266,13 @@ class Backbone:
         self.set_mode(mode)
         h = x if isinstance(x, Tensor) else Tensor(x)
         self._check_width(h.values)
-        for lin, bn in zip(self.linears, self.norms):
-            h = lin(h)
-            if bn is not None:
-                h = bn(h)
-            h = relu(h)
+        for layer in self.layers:
+            h = layer(h)
         return h
 
     def frozen_features(self, x: np.ndarray, mode: str) -> np.ndarray:
         """Features of a batch of plain values in eval or shift mode, as an array.
-        Each layer's product ``values @ W.T`` is the one array it allocates: the
+        Each block's product ``values @ W.T`` is the one array it allocates: the
         bias, batch norm and ReLU are applied over it in place.
 
         ``x`` may also be a stack ``(n, B, in)`` of n batches, each normalized by
@@ -222,12 +284,8 @@ class Backbone:
         self.set_mode(mode)
         values = np.asarray(x, dtype=np.float64)
         self._check_width(values)
-        for lin, bn in zip(self.linears, self.norms):
-            values = values @ lin.weight.values.T
-            values += lin.bias.values
-            if bn is not None:
-                bn.normalize_inplace(values)
-            values *= values > 0.0  # ReLU as x * (x > 0), so a negative input gives -0.0
+        for layer in self.layers:
+            values = layer.frozen_inplace(values)
         return values
 
     def _check_width(self, values: np.ndarray):
@@ -235,25 +293,14 @@ class Backbone:
             raise ValueError(f"input width {values.shape[-1]} != {self.cfg.in_dim}")
 
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for lin, bn in zip(self.linears, self.norms):
-            params.extend(lin.parameters())
-            if bn is not None:
-                params.extend(bn.parameters())
-        return params
+        return [p for layer in self.layers for p in layer.parameters()]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """All parameter and running-stat arrays keyed by a stable name."""
-        out: dict[str, np.ndarray] = {}
-        for i, (lin, bn) in enumerate(zip(self.linears, self.norms)):
-            out[f"linear{i}.weight"] = lin.weight.values
-            out[f"linear{i}.bias"] = lin.bias.values
-            if bn is not None:
-                out[f"bn{i}.scale"] = bn.scale.values
-                out[f"bn{i}.shift"] = bn.shift.values
-                out[f"bn{i}.running_mean"] = bn.running_mean
-                out[f"bn{i}.running_var"] = bn.running_var
-        return out
+        """All parameter and running-stat arrays keyed by a stable name,
+        ``<layer prefix><block index>.<array>``."""
+        per_block = len(self.layers) // max(1, len(self.cfg.hidden))
+        return {f"{layer.prefix}{i // per_block}.{name}": a for i, layer in enumerate(self.layers)
+                for name, a in layer.state_arrays().items()}
 
 
 # A block of steps stacks its batches, so that a frozen backbone runs once per

@@ -5,10 +5,11 @@ that routes the incoming gradient back to them. Layers on the tape are
 composite graphs of the elementwise ops; ``softmax_cross_entropy`` is the one
 fused node, which records a single tape entry for the whole loss.
 
-Training and scoring run plain-array kernels instead, one pair per op,
-``<op>_forward(...) -> (out, ctx)`` and ``<op>_backward(ctx, g)``, chained
-with no tape. Each kernel repeats the arithmetic of the composite graph in
-the same order, so both give bit-identical values and gradients.
+Training and scoring run plain-array kernels instead, chained with no tape:
+each layer's ``forward_arrays``/``backward_arrays`` pair (in ``net`` and
+``head``) and the loss pair ``softmax_cross_entropy_forward``/``_backward``
+here. Each kernel repeats the arithmetic of its composite graph in the same
+order, so both give bit-identical values and gradients.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tensor", "matmul", "linear_forward", "linear_backward", "relu", "relu_forward",
-    "relu_backward", "log_softmax", "softmax", "softmax_inplace", "softmax_cross_entropy",
+    "Tensor", "matmul", "relu", "log_softmax", "softmax", "softmax_inplace", "softmax_cross_entropy",
     "softmax_cross_entropy_forward", "softmax_cross_entropy_backward",
 ]
 
@@ -231,31 +231,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_vals, (a, b), backward)
 
 
-def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
-    """y = x @ w.T + b on arrays, w of shape (out, in); the context is for
-    :func:`linear_backward`."""
-    return (x @ w.T if b is None else x @ w.T + b), (x, w, b is not None)
-
-
-def linear_backward(ctx, g: np.ndarray, input_grad: bool = True):
-    """Gradients (x, w, b) of :func:`linear_forward`; x's is None unless
-    ``input_grad``, b's is None for a layer without bias."""
-    x, w, has_bias = ctx
-    return (g @ w if input_grad else None), (x.T @ g).T, (g.sum(axis=0) if has_bias else None)
-
-
-def relu_forward(x: np.ndarray):
-    """max(x, 0) on arrays, written as ``x * (x > 0)``; the context is the mask."""
-    mask = x > 0.0
-    return x * mask, mask
-
-
-def relu_backward(mask: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g * mask
-
-
 def relu(t: Tensor) -> Tensor:
-    """max(t, 0) as the composite ``t * (t > 0)`` of :func:`relu_forward`."""
+    """max(t, 0) as the composite ``t * (t > 0)`` of :class:`~ltcalib.net.ReLU`'s kernels."""
     return t * Tensor(t.values > 0.0)
 
 

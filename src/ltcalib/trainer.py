@@ -23,7 +23,7 @@ from . import net
 from .artifacts import (_AT_LEAST_ONE, _BOOL, _COUNT, _OBJECT, _POSITIVE, FormatError, _number, _one_of,
                         check_fields, list_of, write_csv, write_json)
 from .calib import PredictionLog, ece, split_accuracy
-from .data import LongTailedDataset, MixupConfig, Sampler, mixup_batch, nan_row_error, one_hot
+from .data import LongTailedDataset, Sampler, mixup_batch, nan_row_error, one_hot
 from .head import GeneralizedHead, HEAD_MODES, LinearClassifier
 # Training builds soft-CE targets and runs the loss kernels directly; the taped
 # losses stay importable from here, where perfbench's tracer looks them up.
@@ -36,16 +36,7 @@ from .losses import (
     soft_ce_loss,
     weighted_ce_loss,
 )
-from .tensor import (
-    Tensor,
-    linear_backward,
-    linear_forward,
-    relu_backward,
-    relu_forward,
-    softmax_cross_entropy_backward,
-    softmax_cross_entropy_forward,
-    softmax_inplace,
-)
+from .tensor import Tensor, softmax_cross_entropy_backward, softmax_cross_entropy_forward, softmax_inplace
 
 __all__ = [
     "TrainConfig",
@@ -282,42 +273,27 @@ class Model:
     def logits(self, x, mode: str) -> Tensor:
         return self.classifier(self.backbone.forward(x, mode))
 
+    def _chain(self) -> list:
+        return [*self.backbone.layers, self.classifier]
+
     def train_forward(self, x: np.ndarray, mode: str) -> tuple[np.ndarray, list]:
         """Logits of a training batch on plain arrays, recording no tape, and the
-        context :meth:`train_backward` needs: one entry per backbone kernel that
-        learns (none unless ``mode`` is train), then the classifier's. In train
-        mode ``x`` is the batch; in eval or shift mode it is the batch's features,
-        which the frozen backbone computed beforehand (see :func:`_fit`)."""
-        if mode != net.TRAIN:
-            z, ctx = self.classifier.forward_arrays(x)
-            return z, [ctx]
-        ctxs, h = [], x
-        for lin, bn in zip(self.backbone.linears, self.backbone.norms):
-            h, ctx = linear_forward(h, lin.weight.values, lin.bias.values)
+        context :meth:`train_backward` needs, one entry per layer that ran: every
+        backbone layer and the classifier in train mode, the classifier alone in
+        eval or shift mode, where ``x`` is the batch's features, which the frozen
+        backbone computed beforehand (see :func:`_fit`)."""
+        ctxs = []
+        for layer in self._chain() if mode == net.TRAIN else [self.classifier]:
+            x, ctx = layer.forward_arrays(x)
             ctxs.append(ctx)
-            if bn is not None:
-                h, ctx = bn.train_forward(h)
-                ctxs.append(ctx)
-            h, ctx = relu_forward(h)
-            ctxs.append(ctx)
-        z, ctx = self.classifier.forward_arrays(h)
-        ctxs.append(ctx)
-        return z, ctxs
+        return x, ctxs
 
     def train_backward(self, ctx: list, g: np.ndarray):
         """Set ``.grad`` of every learnable parameter from ``g``, the loss's gradient
         w.r.t. the logits of :meth:`train_forward`, consuming its context; the
         graph is a chain without fan-out, so each parameter gets one gradient."""
-        g, *grads = self.classifier.backward_arrays(ctx.pop(), g, bool(ctx))
-        for p, grad in zip(self.classifier.params(), grads):
-            p.grad = grad
-        layers = list(zip(self.backbone.linears, self.backbone.norms)) if ctx else []
-        for i in reversed(range(len(layers))):
-            lin, bn = layers[i]
-            g = relu_backward(ctx.pop(), g)
-            if bn is not None:
-                g, bn.scale.grad, bn.shift.grad = bn.train_backward(ctx.pop(), g)
-            g, lin.weight.grad, lin.bias.grad = linear_backward(ctx.pop(), g, i > 0)
+        for layer in reversed(self._chain()[-len(ctx):]):
+            g = layer.backward_arrays(ctx.pop(), g, bool(ctx))
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities on plain arrays, recording no tape;
@@ -386,8 +362,8 @@ def _draw_block(sampler: Sampler, mix_rng: np.random.Generator, n: int, *, cfg: 
     if not mixup:
         return xs, targets(ys.ravel()).reshape(*ys.shape, k)
     pairs = np.arange(n)[:, None], np.array(perms)  # step i's rows in perms[i]'s order
-    return mixup_batch(xs, ys, xs[pairs], ys[pairs], MixupConfig(alpha=cfg.mixup_alpha),
-                       mix_rng, k, lam=np.array(lams, dtype=np.float64)[:, None, None])
+    return mixup_batch(xs, ys, xs[pairs], ys[pairs], cfg.mixup_alpha, mix_rng, k,
+                       lam=np.array(lams, dtype=np.float64)[:, None, None])
 
 
 @np.errstate(**_QUIET)
@@ -451,11 +427,11 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
     classifier = LinearClassifier(w_rng.standard_normal((bb_cfg.feature_dim, ds.num_classes))
                                   / np.sqrt(bb_cfg.feature_dim))
-    decayed = [{"params": [lin.weight for lin in backbone.linears] + classifier.params(),
-                "weight_decay": cfg.weight_decay}]
-    plain = [{"params": [lin.bias for lin in backbone.linears]
-              + [p for bn in backbone.norms if bn is not None for p in bn.parameters()]}]
-    return _fit(Model(backbone, classifier), SGD(decayed + plain, momentum=cfg.momentum),
+    # Weight decay on the weight matrices only; biases and BN's affine vectors are left undecayed.
+    params = backbone.parameters() + classifier.parameters()
+    groups = [{"params": [p for p in params if p.values.ndim == 2], "weight_decay": cfg.weight_decay},
+              {"params": [p for p in params if p.values.ndim == 1]}]
+    return _fit(Model(backbone, classifier), SGD(groups, momentum=cfg.momentum),
                 Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
                 cfg=cfg, ds=ds, stage=1, epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule,
                 base_lr=cfg.lr, mode=net.TRAIN, mixup=cfg.mixup_stage1, mix_tag=0x3F,

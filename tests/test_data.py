@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from ltcalib import data
 from ltcalib.data import (
     LongTailedDataset,
-    MixupConfig,
     Sampler,
     gen_gaussian_blobs,
     load_dataset,
@@ -202,13 +201,13 @@ class TestSampler:
 class TestMixup:
     def test_lambda_one_is_identity(self, rng):
         x1, x2 = rng.standard_normal((2, 4, 3))
-        x, q = mixup_batch(x1, [0, 1, 2, 0], x2, [2, 2, 1, 1], MixupConfig(0.2), rng, k=3, lam=1.0)
+        x, q = mixup_batch(x1, [0, 1, 2, 0], x2, [2, 2, 1, 1], 0.2, rng, k=3, lam=1.0)
         assert np.array_equal(x, x1)
         assert np.array_equal(q, one_hot([0, 1, 2, 0], 3))
 
     def test_same_label_half_mix(self, rng):
         x1, x2 = rng.standard_normal((2, 2, 3))
-        _, q = mixup_batch(x1, [1, 1], x2, [1, 1], MixupConfig(0.2), rng, k=4, lam=0.5)
+        _, q = mixup_batch(x1, [1, 1], x2, [1, 1], 0.2, rng, k=4, lam=0.5)
         assert np.allclose(q, one_hot([1, 1], 4))
 
     @settings(max_examples=25, deadline=None)
@@ -217,18 +216,16 @@ class TestMixup:
         rng = np.random.default_rng(seed)
         x1 = rng.standard_normal((3, 5))
         x2 = rng.standard_normal((3, 5))
-        x, q = mixup_batch(x1, [0, 1, 2], x2, [3, 4, 0], MixupConfig(alpha), rng, k=5)
+        x, q = mixup_batch(x1, [0, 1, 2], x2, [3, 4, 0], alpha, rng, k=5)
         assert np.all(x >= np.minimum(x1, x2) - 1e-12)
         assert np.all(x <= np.maximum(x1, x2) + 1e-12)
         assert np.all(q >= 0)
         assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
 
     def test_alpha_must_be_positive(self, rng):
-        with pytest.raises(ValueError):
-            MixupConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            mixup_batch(np.ones((1, 2)), [0], np.ones((1, 2)), [1],
-                        MixupConfig(alpha=-1.0, enabled=False), rng, k=2)
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                mixup_batch(np.ones((1, 2)), [0], np.ones((1, 2)), [1], alpha, rng, k=2)
 
 
 class TestCsvRoundTrip:

@@ -1,9 +1,10 @@
 """Plain-array kernels and the fused loss against the composite Tensor graphs.
 
-Training and scoring run each layer as a kernel pair, ``forward(...) -> (out,
-ctx)`` and ``backward(ctx, g)``; on the tape, Linear, train-mode batch norm,
-ReLU and both classifiers are composite graphs of the elementwise Tensor ops.
-Driven with the same upstream gradient, each kernel pair must give values,
+Training and scoring run each layer as a kernel pair, ``forward_arrays(x) ->
+(out, ctx)`` and ``backward_arrays(ctx, g) -> g_x``, which sets the layer's
+parameters' ``.grad``; on the tape, Linear, train-mode batch norm, ReLU and
+both classifiers are composite graphs of the elementwise Tensor ops. Driven
+with the same upstream gradient, each kernel pair must give values,
 gradients and BN running statistics byte-identical to its composite graph,
 and the one fused node, softmax cross-entropy, must match its composite
 graph too. Also covered: gradient routing through shared and repeated
@@ -18,9 +19,8 @@ import pytest
 from ltcalib import net
 from ltcalib.head import GeneralizedHead, LinearClassifier
 from ltcalib.losses import soft_ce_loss
-from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear
-from ltcalib.tensor import (Tensor, linear_backward, linear_forward, log_softmax, relu,
-                            relu_backward, relu_forward)
+from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear, ReLU
+from ltcalib.tensor import Tensor, log_softmax, relu
 
 from conftest import assert_grads_close, central_diff
 
@@ -53,22 +53,20 @@ def _weighted_sum(out: Tensor, r: np.ndarray) -> Tensor:
 
 
 @pytest.mark.parametrize("m,d,k", SHAPES)
-@pytest.mark.parametrize("bias", [True, False])
-def test_linear_matches_composite(m, d, k, bias):
+def test_linear_matches_composite(m, d, k):
     rng = np.random.default_rng(m * 1000 + d * 10 + k)
     x0, w0, b0 = rng.standard_normal((m, d)), rng.standard_normal((k, d)), rng.standard_normal(k)
     r = rng.standard_normal((m, k))
-    out, ctx = linear_forward(x0, w0, b0 if bias else None)
-    kernel = [out, *linear_backward(ctx, r)]
+    kernel_lin, lin = Linear(d, k, rng), Linear(d, k, rng)
+    for layer in (kernel_lin, lin):
+        layer.weight.values, layer.bias.values = w0.copy(), b0.copy()
+    out, ctx = kernel_lin.forward_arrays(x0)
+    kernel = [out, kernel_lin.backward_arrays(ctx, r), kernel_lin.weight.grad, kernel_lin.bias.grad]
 
-    lin = Linear(d, k, rng, bias=bias)
-    lin.weight.values = w0.copy()
-    if bias:
-        lin.bias.values = b0.copy()
     x = _leaf(x0)
     out = lin(x)
     _weighted_sum(out, r).backward()
-    composite = [out.values, x.grad, lin.weight.grad, lin.bias.grad if bias else None]
+    composite = [out.values, x.grad, lin.weight.grad, lin.bias.grad]
     assert _all_same(kernel, composite)
 
 
@@ -79,14 +77,14 @@ def test_linear_classifier_kernels_match_composite(m, d, k):
     r = rng.standard_normal((m, k))
     clf = LinearClassifier(w0)
     out, ctx = clf.forward_arrays(x0)
-    kernel = [out, *clf.backward_arrays(ctx, r)]
+    kernel = [out, clf.backward_arrays(ctx, r), clf.w.grad]
 
     x, w = _leaf(x0), _leaf(w0)
     out = x @ w
     _weighted_sum(out, r).backward()
     assert _all_same(kernel, [out.values, x.grad, w.grad])
     # The classifier's own taped call is that graph.
-    x = _leaf(x0)
+    x, clf = _leaf(x0), LinearClassifier(w0)
     out = clf(x)
     _weighted_sum(out, r).backward()
     assert _all_same(kernel, [out.values, x.grad, clf.w.grad])
@@ -96,11 +94,12 @@ def test_linear_classifier_kernels_match_composite(m, d, k):
 def test_relu_kernels_match_composite(m, d, k):
     rng = np.random.default_rng(m * 3 + d)
     x0, r = rng.standard_normal((m, d)), rng.standard_normal((m, d))
-    out, mask = relu_forward(x0)
+    layer = ReLU()
+    out, mask = layer.forward_arrays(x0)
     x = _leaf(x0)
     taped = relu(x)
     _weighted_sum(taped, r).backward()
-    assert _all_same([out, relu_backward(mask, r)], [taped.values, x.grad])
+    assert _all_same([out, layer.backward_arrays(mask, r)], [taped.values, x.grad])
 
 
 def _fresh_bn(d: int) -> BatchNorm:
@@ -118,8 +117,8 @@ def test_batchnorm_train_matches_composite(m, d, k):
     h0 = rng.standard_normal((m, d)) * 3.0 + rng.standard_normal(d)
     r = rng.standard_normal((m, d))
     bn = _fresh_bn(d)
-    out, ctx = bn.train_forward(h0)
-    kernel = [out, *bn.train_backward(ctx, r), bn.running_mean, bn.running_var]
+    out, ctx = bn.forward_arrays(h0)
+    kernel = [out, bn.backward_arrays(ctx, r), bn.scale.grad, bn.shift.grad, bn.running_mean, bn.running_var]
 
     bn = _fresh_bn(d)
     h = _leaf(h0)
@@ -183,10 +182,11 @@ def test_head_matches_composite(m, d, k, mode):
     dw0, s0 = 0.1 * rng.standard_normal((d, k)), rng.uniform(0.5, 1.5, k)
     x0 = rng.standard_normal((m, d))
     r = rng.standard_normal((m, k))
-    head = GeneralizedHead(w, mode=mode)
-    head.dw.values, head.s.values = dw0.copy(), s0.copy()
-    out, ctx = head.forward_arrays(x0)
-    kernel = [out, *head.backward_arrays(ctx, r)]
+    kernel_head, head = GeneralizedHead(w, mode=mode), GeneralizedHead(w, mode=mode)
+    for h in (kernel_head, head):
+        h.dw.values, h.s.values = dw0.copy(), s0.copy()
+    out, ctx = kernel_head.forward_arrays(x0)
+    kernel = [out, kernel_head.backward_arrays(ctx, r), kernel_head.dw.grad, kernel_head.s.grad]
 
     x = _leaf(x0)
     out = head(x)
@@ -270,9 +270,11 @@ def _composite_forward(bb: Backbone, x: Tensor, mode: str) -> Tensor:
     """Layer-by-layer forward with elementwise Tensor ops in eval mode, and
     with plain batch statistics and running-stat updates in shift mode."""
     h = x
-    for lin, bn in zip(bb.linears, bb.norms):
-        h = h @ lin.weight.T + lin.bias
-        if bn is not None:
+    for layer in bb.layers:
+        if isinstance(layer, Linear):
+            h = h @ layer.weight.T + layer.bias
+        elif isinstance(layer, BatchNorm):
+            bn = layer
             if mode == net.EVAL:
                 denom = np.sqrt(bn.running_var + bn.eps)
                 x_hat = (h - Tensor(bn.running_mean)) / Tensor(denom)
@@ -282,7 +284,8 @@ def _composite_forward(bb: Backbone, x: Tensor, mode: str) -> Tensor:
                 bn._update_running(mu, var)
                 x_hat = Tensor((h.values - mu) / np.sqrt(var + bn.eps))
             h = bn.scale * x_hat + bn.shift
-        h = relu(h)
+        else:
+            h = relu(h)
     return h
 
 
@@ -302,9 +305,8 @@ def test_eval_and_shift_forwards_record_no_tape(mode, batchnorm):
         assert out._parents == () and out._backward is None
         assert _same(out.values, expect.values)
         for bn, bn_ref in zip(bb.norms, ref.norms):
-            if bn is not None:
-                assert _same(bn.running_mean, bn_ref.running_mean)
-                assert _same(bn.running_var, bn_ref.running_var)
+            assert _same(bn.running_mean, bn_ref.running_mean)
+            assert _same(bn.running_var, bn_ref.running_var)
 
 
 @pytest.mark.parametrize("mode", [net.EVAL, net.SHIFT])

@@ -166,6 +166,18 @@ class TestBackbone:
         with pytest.raises(ValueError):
             bb.forward(rng.standard_normal((4, 2)), net.EVAL)
 
+    @pytest.mark.parametrize("hidden, batchnorm, names", [
+        ([], True, []),
+        ([8, 4], True, ["bn0.running_mean", "bn0.running_var", "bn0.scale", "bn0.shift",
+                        "bn1.running_mean", "bn1.running_var", "bn1.scale", "bn1.shift",
+                        "linear0.bias", "linear0.weight", "linear1.bias", "linear1.weight"]),
+        ([8, 4, 3], False, ["linear0.bias", "linear0.weight", "linear1.bias", "linear1.weight",
+                            "linear2.bias", "linear2.weight"]),
+    ])
+    def test_checkpoint_entry_names_carry_the_block_index(self, hidden, batchnorm, names):
+        bb = Backbone(BackboneConfig(in_dim=5, hidden=hidden, batchnorm=batchnorm))
+        assert sorted(bb.state_arrays()) == names
+
     def test_backbone_gradients_match_finite_differences(self, rng):
         cfg = BackboneConfig(in_dim=2, hidden=[4], seed=3)
         bb = Backbone(cfg)
@@ -203,8 +215,9 @@ class TestBlockForward:
     def _backbone(in_dim: int, rng) -> Backbone:
         """The presets' layer widths, with random affine and running statistics."""
         bb = Backbone(BackboneConfig(in_dim=in_dim, hidden=[32, 16], seed=2))
-        for lin in bb.linears:
-            lin.bias.values = rng.standard_normal(lin.bias.values.shape)
+        for lin in bb.layers:
+            if isinstance(lin, Linear):
+                lin.bias.values = rng.standard_normal(lin.bias.values.shape)
         for bn in bb.norms:
             bn.running_mean = rng.standard_normal(bn.running_mean.shape)
             bn.running_var = rng.random(bn.running_var.shape) + 0.5

@@ -11,7 +11,7 @@ import pytest
 from ltcalib import net, tensor, trainer
 from ltcalib.calib import PredictionLog
 from ltcalib.head import GeneralizedHead, LinearClassifier
-from ltcalib.net import Backbone, BackboneConfig, BatchNorm
+from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear
 from ltcalib.tensor import _log_softmax_rows, softmax_inplace
 from ltcalib.trainer import Model
 
@@ -24,14 +24,14 @@ def _model(kind: str, rng, dim=6, hidden=(8, 5), k=7, batchnorm=True) -> Model:
     """A model with every parameter and running statistic drawn at random,
     so no term of the forward is an identity."""
     bb = Backbone(BackboneConfig(in_dim=dim, hidden=list(hidden), batchnorm=batchnorm, seed=3))
-    for lin in bb.linears:
-        lin.bias.values = rng.standard_normal(lin.bias.values.shape)
+    for lin in bb.layers:
+        if isinstance(lin, Linear):
+            lin.bias.values = rng.standard_normal(lin.bias.values.shape)
     for bn in bb.norms:
-        if bn is not None:
-            bn.running_mean = rng.standard_normal(bn.running_mean.shape)
-            bn.running_var = rng.random(bn.running_var.shape) + 0.5
-            bn.scale.values = rng.standard_normal(bn.scale.values.shape)
-            bn.shift.values = rng.standard_normal(bn.shift.values.shape)
+        bn.running_mean = rng.standard_normal(bn.running_mean.shape)
+        bn.running_var = rng.random(bn.running_var.shape) + 0.5
+        bn.scale.values = rng.standard_normal(bn.scale.values.shape)
+        bn.shift.values = rng.standard_normal(bn.shift.values.shape)
     w = rng.standard_normal((hidden[-1] if hidden else dim, k))
     if kind == "stage1":
         return Model(bb, LinearClassifier(w))
@@ -57,11 +57,13 @@ def _reference_bn(bn: BatchNorm, h: np.ndarray, mode: str) -> np.ndarray:
 def _reference_features(backbone: Backbone, x: np.ndarray, mode: str) -> np.ndarray:
     """The frozen backbone forward, one new array per op, without frozen_features."""
     values = np.asarray(x, dtype=np.float64)
-    for lin, bn in zip(backbone.linears, backbone.norms):
-        values = values @ lin.weight.values.T + lin.bias.values
-        if bn is not None:
-            values = _reference_bn(bn, values, mode)
-        values = values * (values > 0.0)
+    for layer in backbone.layers:
+        if isinstance(layer, Linear):
+            values = values @ layer.weight.values.T + layer.bias.values
+        elif isinstance(layer, BatchNorm):
+            values = _reference_bn(layer, values, mode)
+        else:
+            values = values * (values > 0.0)
     return values
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ltcalib import net, trainer
 from ltcalib.tensor import Tensor, softmax
-from ltcalib.data import DatasetFormatError, MixupConfig, Sampler, gen_gaussian_blobs, mixup_batch, one_hot
+from ltcalib.data import DatasetFormatError, Sampler, gen_gaussian_blobs, mixup_batch, one_hot
 from ltcalib.head import GeneralizedHead
 from ltcalib.losses import (
     SmoothingSchedule,
@@ -251,7 +251,6 @@ def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr
         loss_of = lambda y, z: soft_ce_loss(las_target_matrix(sched, y, k), z)
     opt = _PerParameterSGD(opt.groups, cfg.momentum)
     mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
-    mix_cfg = MixupConfig(alpha=cfg.mixup_alpha, enabled=mixup)
     steps = cfg.batches_per_epoch or math.ceil(len(ds.labels) / cfg.batch_size)
     for epoch in range(epochs):
         lr = lr_at(schedule, epoch, epochs, base_lr)
@@ -260,7 +259,7 @@ def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr
             x, y = sampler.next_batch(cfg.batch_size)
             if mixup:
                 perm = mix_rng.permutation(len(x))
-                x, q = mixup_batch(x, y, x[perm], y[perm], mix_cfg, mix_rng, k,
+                x, q = mixup_batch(x, y, x[perm], y[perm], cfg.mixup_alpha, mix_rng, k,
                                    lam=cfg.mixup_force_lam)
             feats = model.backbone.forward(x, mode)
             z = model.classifier(feats)
@@ -353,7 +352,7 @@ class TestBlockDraw:
             x, y = step_sampler.next_batch(7)
             if mixup:
                 perm = step_rng.permutation(7)
-                x, q = mixup_batch(x, y, x[perm], y[perm], MixupConfig(cfg.mixup_alpha), step_rng, k, lam=lam)
+                x, q = mixup_batch(x, y, x[perm], y[perm], cfg.mixup_alpha, step_rng, k, lam=lam)
             else:
                 q = targets(y)
             assert x_block.tobytes() == x.tobytes() and q_block.tobytes() == q.tobytes()

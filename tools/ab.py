@@ -12,7 +12,7 @@ so the repository's own checkout and ``.git`` are left as they were, and both
 sides' files carry the time of export as their mtime.
 
 Byte-diff: in each tree, every workload of ``perfbench/workloads.py`` runs its
-set-up and one operation for one seed, then ``train`` runs the five small
+set-up and one operation for one seed, then ``train`` runs the small
 ``TRAIN_VARIANTS`` configs on a gen-data set of that seed, and ``ablate`` runs
 ``TRAIN_BASE`` there (the shift-mode grid, which ``grid-c10`` does not run).
 Every file they write (gen-data files, the ``train-c100`` outputs, both
@@ -76,6 +76,9 @@ TRAIN_VARIANTS = {
     "bn_warm_30_not_concurrent": {"bn_warm_steps": 30, "bn_concurrent": False},
     # Epochs and a warm pass of two full blocks of steps and a ragged one.
     "ragged_blocks_batch7": {"batch_size": 7, "batches_per_epoch": 37, "bn_warm_steps": 37, "mixup_stage2": True},
+    # Three blocks without batch norm: checkpoint names past block 1, and a
+    # shift-mode Stage 2 with no statistics to shift.
+    "no_bn_three_blocks": {"batchnorm": False, "hidden": [16, 8, 8]},
 }
 
 # Run inside each tree: the set-up and one operation of every workload, then
