@@ -164,6 +164,8 @@ class BatchNorm:
         diff, sd, x_hat, inv_m = ctx
         self.shift.grad = g.sum(axis=0)
         self.scale.grad = (g * x_hat).sum(axis=0)
+        if not input_grad:
+            return None
         g_xhat = g * self.scale.values
         g_sd = (-g_xhat * diff / sd**2).sum(axis=0)
         g_sq = (g_sd * 0.5 / sd * inv_m) * diff  # through diff * diff, once per factor

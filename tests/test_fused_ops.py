@@ -194,6 +194,34 @@ def test_head_matches_composite(m, d, k, mode):
     assert _all_same(kernel, [out.values, x.grad, head.dw.grad, head.s.grad])
 
 
+_PARAMETRIZED_LAYERS = {
+    "linear": lambda d, k, rng: Linear(d, k, rng),
+    "batchnorm": lambda d, k, rng: _fresh_bn(d),
+    "classifier": lambda d, k, rng: LinearClassifier(rng.standard_normal((d, k))),
+    **{mode: (lambda d, k, rng, mode=mode: GeneralizedHead(rng.standard_normal((d, k)), mode=mode))
+       for mode in ("crt", "lws", "generalized")},
+}
+
+
+@pytest.mark.parametrize("m,d,k", SHAPES)
+@pytest.mark.parametrize("kind", list(_PARAMETRIZED_LAYERS))
+def test_backward_without_input_grad_sets_the_same_parameter_grads(m, d, k, kind):
+    """The first layer of a chain skips x's gradient: ``input_grad=False``
+    returns None and leaves every parameter's ``.grad`` as the full backward does."""
+    layers = [_PARAMETRIZED_LAYERS[kind](d, k, np.random.default_rng(m * 7 + d)) for _ in range(2)]
+    rng = np.random.default_rng(m * 31 + k)
+    x0 = rng.standard_normal((m, d)) * 2.0 + rng.standard_normal(d)
+    for p, q in zip(*(layer.parameters() for layer in layers)):
+        p.values = p.values + 0.1 * rng.standard_normal(p.values.shape)
+        q.values = p.values.copy()
+    outs = [layer.forward_arrays(x0) for layer in layers]
+    assert _same(outs[0][0], outs[1][0])
+    r = rng.standard_normal(outs[0][0].shape)
+    assert layers[0].backward_arrays(outs[0][1], r) is not None
+    assert layers[1].backward_arrays(outs[1][1], r, input_grad=False) is None
+    assert _all_same([p.grad for p in layers[0].parameters()], [p.grad for p in layers[1].parameters()])
+
+
 # -- gradient routing ----------------------------------------------------------
 
 
