@@ -5,7 +5,7 @@ Submodules:
   data    - synthetic long-tailed datasets, samplers, mixup
   net     - linear / batch-norm / ReLU layers and the MLP backbone
   losses  - soft-target CE, weighted CE, label-aware smoothing
-  head    - the Stage-1 linear classifier and the Stage-2 head (cRT / LWS / generalized)
+  head    - the classifier: the head (cRT / LWS / generalized) and its Stage-1 form
   calib   - ECE, reliability bins, split accuracy, probability distributions
   trainer - the two-stage pipeline and ablation grid
   artifacts - atomic file writes in one JSON and one CSV format
@@ -14,7 +14,7 @@ Submodules:
 
 from .calib import PredictionLog, ece, reliability_bins, split_accuracy
 from .data import LongTailedDataset, Sampler, gen_gaussian_blobs, make_longtail_profile, mixup_batch
-from .head import GeneralizedHead, LinearClassifier
+from .head import GeneralizedHead
 from .losses import (
     SmoothingSchedule,
     las_optimal_logit_gap,

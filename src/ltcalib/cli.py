@@ -29,7 +29,6 @@ from .calib import (
     reliability_bins,
     split_accuracy,
 )
-from .head import GeneralizedHead
 from .losses import SmoothingSchedule
 from .trainer import DivergenceError, TrainConfig
 
@@ -140,8 +139,8 @@ def _load_model_for(sidecar: dict, checkpoint):
     dim, k = sidecar["dim"], len(sidecar["class_counts"])
     if model.backbone.cfg.in_dim != dim:
         raise ShapeMismatch(f"checkpoint expects {model.backbone.cfg.in_dim}-dim features, dataset has {dim}")
-    if model.classifier.w.shape[1] != k:
-        raise ShapeMismatch(f"checkpoint has {model.classifier.w.shape[1]} classes, dataset has {k}")
+    if model.classifier.dw.shape[1] != k:
+        raise ShapeMismatch(f"checkpoint has {model.classifier.dw.shape[1]} classes, dataset has {k}")
     return model
 
 
@@ -236,7 +235,7 @@ def cmd_reliability(args) -> int:
 def cmd_weight_norms(args) -> int:
     sidecar = data_mod.load_sidecar(args.data)
     model = _load_model_for(sidecar, args.checkpoint)
-    if not isinstance(model.classifier, GeneralizedHead):
+    if model.classifier.w is None:
         raise UsageError("checkpoint has no trained classifier head")
     out = Path(args.out or (Path(_default_out()) / "weight_norms.csv"))
     out.parent.mkdir(parents=True, exist_ok=True)

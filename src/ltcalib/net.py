@@ -1,6 +1,6 @@
 """Layers and the MLP backbone: linear, ReLU, batch normalization with shift mode.
 
-Every layer, like both classifiers in ``head``, has a taped ``__call__`` and a
+Every layer, like the classifier in ``head``, has a taped ``__call__`` and a
 kernel pair on plain arrays: ``forward_arrays(x) -> (out, ctx)``, and
 ``backward_arrays(ctx, g, input_grad) -> g_x``, which sets the layer's own
 parameters' ``.grad`` and returns x's gradient, or None when ``input_grad`` is

@@ -1,11 +1,12 @@
 """Two-stage training pipeline.
 
-Stage-1 trains the backbone and a plain linear classifier jointly with
-instance-balanced sampling (optionally with mixup). Stage-2 freezes the
-backbone and BN affine parameters, switches to class-balanced sampling,
-optionally lets BN running statistics drift to the class-balanced input
-distribution (shift learning), and retrains only the classifier head with
-label-aware smoothing, plain CE, or per-class weighted CE.
+Stage-1 trains the backbone and the classifier's Stage-1 form, the bias-free
+``x @ w`` of :meth:`GeneralizedHead.stage1`, jointly with instance-balanced
+sampling (optionally with mixup). Stage-2 freezes the backbone and BN affine
+parameters, switches to class-balanced sampling, optionally lets BN running
+statistics drift to the class-balanced input distribution (shift learning),
+and retrains only a head built on the frozen Stage-1 weight, with label-aware
+smoothing, plain CE, or per-class weighted CE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .artifacts import (_AT_LEAST_ONE, _BOOL, _COUNT, _OBJECT, _POSITIVE, Format
                         check_fields, list_of, write_csv, write_json)
 from .calib import PredictionLog, ece, split_accuracy
 from .data import LongTailedDataset, Sampler, mixup_batch, nan_row_error, one_hot
-from .head import GeneralizedHead, HEAD_MODES, LinearClassifier
+from .head import GeneralizedHead, HEAD_MODES
 # Training builds soft-CE targets and runs the loss kernels directly; the taped
 # losses stay importable from here, where perfbench's tracer looks them up.
 from .losses import (
@@ -36,7 +37,7 @@ from .losses import (
     soft_ce_loss,
     weighted_ce_loss,
 )
-from .tensor import Tensor, softmax_cross_entropy_backward, softmax_cross_entropy_forward, softmax_inplace
+from .tensor import softmax_cross_entropy_backward, softmax_cross_entropy_forward, softmax_inplace
 
 __all__ = [
     "TrainConfig",
@@ -262,16 +263,14 @@ def _score_block_ends(n: int) -> list[int]:
 
 
 class Model:
-    """Backbone plus classifier: the Stage-1 :class:`LinearClassifier`, or the
-    Stage-2 :class:`GeneralizedHead` built from its weight. The backbone learns
-    in train mode (Stage 1) and runs frozen in shift or eval mode (Stage 2)."""
+    """Backbone plus classifier, a :class:`GeneralizedHead`: its Stage-1 form,
+    with no frozen W, or the Stage-2 head built from that form's weight. The
+    backbone learns in train mode (Stage 1) and runs frozen in shift or eval
+    mode (Stage 2)."""
 
-    def __init__(self, backbone: net.Backbone, classifier: LinearClassifier | GeneralizedHead):
+    def __init__(self, backbone: net.Backbone, classifier: GeneralizedHead):
         self.backbone = backbone
         self.classifier = classifier
-
-    def logits(self, x, mode: str) -> Tensor:
-        return self.classifier(self.backbone.forward(x, mode))
 
     def _chain(self) -> list:
         return [*self.backbone.layers, self.classifier]
@@ -296,9 +295,9 @@ class Model:
             g = layer.backward_arrays(ctx.pop(), g, bool(ctx))
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode class probabilities on plain arrays, recording no tape;
-        the same values as ``softmax(self.logits(x, net.EVAL)).values``. The
-        softmax is taken over the logits matrix in place; ``x`` is not changed."""
+        """Eval-mode class probabilities on plain arrays, recording no tape; the
+        same values as the taped ``softmax(classifier(backbone.forward(x, net.EVAL)))``.
+        The softmax is taken over the logits matrix in place; ``x`` is not changed."""
         return softmax_inplace(self.classifier.eval_logits(self.backbone.frozen_features(x, net.EVAL)))
 
     def prediction_log(self, x: np.ndarray, labels: np.ndarray) -> PredictionLog:
@@ -416,7 +415,7 @@ def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: Long
 
 def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None = None,
                  final: dict | None = None) -> Model:
-    """Joint backbone + linear classifier training on instance-balanced batches. With
+    """Joint backbone + Stage-1 classifier training on instance-balanced batches. With
     ``metrics``, each epoch is evaluated and appends a curve row there, and ``final``
     (when given) is set to the last epoch's evaluation."""
     bb_cfg = net.BackboneConfig(
@@ -425,8 +424,8 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
     )
     backbone = net.Backbone(bb_cfg)
     w_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
-    classifier = LinearClassifier(w_rng.standard_normal((bb_cfg.feature_dim, ds.num_classes))
-                                  / np.sqrt(bb_cfg.feature_dim))
+    classifier = GeneralizedHead.stage1(w_rng.standard_normal((bb_cfg.feature_dim, ds.num_classes))
+                                        / np.sqrt(bb_cfg.feature_dim))
     # Weight decay on the weight matrices only; biases and BN's affine vectors are left undecayed.
     params = backbone.parameters() + classifier.parameters()
     groups = [{"params": [p for p in params if p.values.ndim == 2], "weight_decay": cfg.weight_decay},
@@ -443,7 +442,7 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
     """Classifier retraining on class-balanced batches with a frozen backbone;
     ``metrics`` and ``final`` as for :func:`train_stage1`."""
     k = ds.num_classes
-    head = GeneralizedHead(model.classifier.w.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
+    head = GeneralizedHead(model.classifier.dw.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
     groups = head.param_groups()
     for g in groups:
         # Weight decay on dW only; the scaling vector s is left undecayed.
@@ -463,7 +462,8 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
     else:
         targets = lambda y: one_hot(y, k)
 
-    if cfg.shift_bn and cfg.bn_warm_steps:
+    # Without BN the warm pass refreshes nothing; skipped, it leaves the sampler untouched.
+    if cfg.shift_bn and cfg.bn_warm_steps and model.backbone.norms:
         net.bn_shift_stats(model.backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
     return _fit(Model(model.backbone, head), SGD(groups, momentum=cfg.momentum), sampler,
                 cfg=cfg, ds=ds, stage=2, epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule,
@@ -536,8 +536,8 @@ def write_metrics_csv(metrics: list[dict], path: str | Path):
 
 
 def save_model(model: Model, path_prefix: str | Path, meta: dict | None = None):
-    meta = dict(meta or {}, backbone=asdict(model.backbone.cfg), num_classes=int(model.classifier.w.shape[1]))
-    if isinstance(model.classifier, GeneralizedHead):
+    meta = dict(meta or {}, backbone=asdict(model.backbone.cfg), num_classes=int(model.classifier.dw.shape[1]))
+    if model.classifier.w is not None:
         meta["head"] = {key: getattr(model.classifier, key) for key in HEAD_RULES}
     net.save_checkpoint(path_prefix, model.state_arrays(), meta)
 
@@ -566,7 +566,7 @@ def load_model(path_prefix: str | Path) -> Model:
         raise FormatError(f"{manifest}: layer widths {widths} need more weights than the {total}-value blob")
     shape_w = (cfg.feature_dim, meta["num_classes"])
     classifier = (GeneralizedHead(np.zeros(shape_w), **{key: meta["head"][key] for key in HEAD_RULES})
-                  if "head" in meta else LinearClassifier(np.zeros(shape_w)))
+                  if "head" in meta else GeneralizedHead.stage1(np.zeros(shape_w)))
     model = Model(net.Backbone(cfg), classifier)
     live = model.state_arrays()
     legacy = None if "classifier.w" in live else arrays.pop("classifier.w", None)

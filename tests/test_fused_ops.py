@@ -3,11 +3,11 @@
 Training and scoring run each layer as a kernel pair, ``forward_arrays(x) ->
 (out, ctx)`` and ``backward_arrays(ctx, g) -> g_x``, which sets the layer's
 parameters' ``.grad``; on the tape, Linear, train-mode batch norm, ReLU and
-both classifiers are composite graphs of the elementwise Tensor ops. Driven
-with the same upstream gradient, each kernel pair must give values,
-gradients and BN running statistics byte-identical to its composite graph,
-and the one fused node, softmax cross-entropy, must match its composite
-graph too. Also covered: gradient routing through shared and repeated
+the classifier in both its forms are composite graphs of the elementwise
+Tensor ops. Driven with the same upstream gradient, each kernel pair must
+give values, gradients and BN running statistics byte-identical to its
+composite graph, and the one fused node, softmax cross-entropy, must match
+its composite graph too. Also covered: gradient routing through shared and repeated
 inputs, and the tape-free eval/shift backbone forward.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ltcalib import net
-from ltcalib.head import GeneralizedHead, LinearClassifier
+from ltcalib.head import GeneralizedHead
 from ltcalib.losses import soft_ce_loss
 from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear, ReLU
 from ltcalib.tensor import Tensor, log_softmax, relu
@@ -75,19 +75,19 @@ def test_linear_classifier_kernels_match_composite(m, d, k):
     rng = np.random.default_rng(m * 1000 + d * 10 + k + 1)
     x0, w0 = rng.standard_normal((m, d)), rng.standard_normal((d, k))
     r = rng.standard_normal((m, k))
-    clf = LinearClassifier(w0)
+    clf = GeneralizedHead.stage1(w0)
     out, ctx = clf.forward_arrays(x0)
-    kernel = [out, clf.backward_arrays(ctx, r), clf.w.grad]
+    kernel = [out, clf.backward_arrays(ctx, r), clf.dw.grad, clf.s.grad]
 
     x, w = _leaf(x0), _leaf(w0)
     out = x @ w
     _weighted_sum(out, r).backward()
-    assert _all_same(kernel, [out.values, x.grad, w.grad])
+    assert _all_same(kernel, [out.values, x.grad, w.grad, None])
     # The classifier's own taped call is that graph.
-    x, clf = _leaf(x0), LinearClassifier(w0)
+    x, clf = _leaf(x0), GeneralizedHead.stage1(w0)
     out = clf(x)
     _weighted_sum(out, r).backward()
-    assert _all_same(kernel, [out.values, x.grad, clf.w.grad])
+    assert _all_same(kernel, [out.values, x.grad, clf.dw.grad, clf.s.grad])
 
 
 @pytest.mark.parametrize("m,d,k", SHAPES)
@@ -197,7 +197,7 @@ def test_head_matches_composite(m, d, k, mode):
 _PARAMETRIZED_LAYERS = {
     "linear": lambda d, k, rng: Linear(d, k, rng),
     "batchnorm": lambda d, k, rng: _fresh_bn(d),
-    "classifier": lambda d, k, rng: LinearClassifier(rng.standard_normal((d, k))),
+    "classifier": lambda d, k, rng: GeneralizedHead.stage1(rng.standard_normal((d, k))),
     **{mode: (lambda d, k, rng, mode=mode: GeneralizedHead(rng.standard_normal((d, k)), mode=mode))
        for mode in ("crt", "lws", "generalized")},
 }

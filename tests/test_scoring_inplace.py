@@ -10,7 +10,7 @@ import pytest
 
 from ltcalib import net, tensor, trainer
 from ltcalib.calib import PredictionLog
-from ltcalib.head import GeneralizedHead, LinearClassifier
+from ltcalib.head import GeneralizedHead
 from ltcalib.net import Backbone, BackboneConfig, BatchNorm, Linear
 from ltcalib.tensor import _log_softmax_rows, softmax_inplace
 from ltcalib.trainer import Model
@@ -34,7 +34,7 @@ def _model(kind: str, rng, dim=6, hidden=(8, 5), k=7, batchnorm=True) -> Model:
         bn.shift.values = rng.standard_normal(bn.shift.values.shape)
     w = rng.standard_normal((hidden[-1] if hidden else dim, k))
     if kind == "stage1":
-        return Model(bb, LinearClassifier(w))
+        return Model(bb, GeneralizedHead.stage1(w))
     head = GeneralizedHead(w, mode=kind)
     head.dw.values = rng.standard_normal(w.shape) * 0.3
     head.s.values = rng.random(k) + 0.5
@@ -70,10 +70,10 @@ def _reference_features(backbone: Backbone, x: np.ndarray, mode: str) -> np.ndar
 def _reference_probs(model: Model, x: np.ndarray) -> np.ndarray:
     feats = _reference_features(model.backbone, x, net.EVAL)
     c = model.classifier
-    if isinstance(c, GeneralizedHead):
-        z = (feats @ (c.r * c.w + c.dw.values)) * c.s.values
+    if c.w is None:
+        z = feats @ c.dw.values
     else:
-        z = feats @ c.w.values
+        z = (feats @ (c.r * c.w + c.dw.values)) * c.s.values
     shifted = z - z.max(axis=1, keepdims=True)
     return np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
 

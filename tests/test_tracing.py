@@ -25,10 +25,12 @@ def ds():
 
 
 def _traced_calls(fn) -> dict[str, int]:
-    """Span calls of one traced call of ``fn``, by span name."""
+    """Span calls of one traced call of ``fn``, by span name. Every tracer target
+    must resolve, so that a rename in ``ltcalib`` cannot make a per-layer metric absent."""
     tracer = tracing.Tracer()
     tracer.begin(0)
     try:
+        assert not tracer.missing, f"unresolved tracer spans: {sorted(tracer.missing)}"
         fn()
     finally:
         tracer.end()

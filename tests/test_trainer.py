@@ -8,7 +8,7 @@ import pytest
 from ltcalib import net, trainer
 from ltcalib.tensor import Tensor, softmax
 from ltcalib.data import DatasetFormatError, Sampler, gen_gaussian_blobs, mixup_batch, one_hot
-from ltcalib.head import GeneralizedHead
+from ltcalib.head import HEAD_MODES
 from ltcalib.losses import (
     SmoothingSchedule,
     ce_loss,
@@ -390,7 +390,7 @@ class TestDeterminism:
         # so the trajectories must agree to the bit
         on = train_stage1(tiny_cfg(mixup_stage1=True, mixup_force_lam=1.0), ds)
         off = train_stage1(tiny_cfg(mixup_stage1=False), ds)
-        assert on.classifier.w.values.tobytes() == off.classifier.w.values.tobytes()
+        assert on.classifier.dw.values.tobytes() == off.classifier.dw.values.tobytes()
         for k, arr in on.backbone.state_arrays().items():
             assert arr.tobytes() == off.backbone.state_arrays()[k].tobytes()
 
@@ -400,7 +400,7 @@ class TestStage2:
         cfg = tiny_cfg(shift_bn=True)
         model = train_stage1(cfg, ds)
         before = {k: v.tobytes() for k, v in model.backbone.state_arrays().items()}
-        w_before = model.classifier.w.values.tobytes()
+        w_before = model.classifier.dw.values.tobytes()
         trained = train_stage2(cfg, model, ds)
         after = trained.backbone.state_arrays()
         for k in before:
@@ -408,7 +408,7 @@ class TestStage2:
                 continue
             assert after[k].tobytes() == before[k], f"{k} changed during stage 2"
         assert trained.classifier.w.tobytes() == w_before
-        assert isinstance(trained.classifier, GeneralizedHead)
+        assert trained.classifier.mode == cfg.head_mode
 
     def test_shift_toggle_moves_only_running_stats(self, ds):
         cfg_off = tiny_cfg(shift_bn=False)
@@ -432,6 +432,37 @@ class TestStage2:
         trained = train_stage2(cfg, model, ds)
         after = trained.backbone.state_arrays()["bn0.running_mean"]
         assert after.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("batchnorm, hidden", [(False, [8]), (True, [])],
+                             ids=["no_batchnorm", "identity_backbone"])
+    def test_warm_pass_is_inert_without_batch_norm(self, ds, batchnorm, hidden):
+        """With no BN layer the warm pass has nothing to refresh, so it draws no batch either."""
+        cold, warm = (run(tiny_cfg(batchnorm=batchnorm, hidden=hidden, bn_warm_steps=steps), ds)
+                      for steps in (0, 300))
+        assert _run_bytes(cold) == _run_bytes(warm)
+
+    @pytest.mark.parametrize("stage, head_mode", [(1, "generalized"), *((2, mode) for mode in HEAD_MODES)])
+    def test_every_tensor_in_an_sgd_group_learns(self, ds, stage, head_mode, monkeypatch):
+        """After one step each grouped tensor requires a gradient and has one, so
+        no frozen tensor pushes a group off SGD.step's one-concatenate path."""
+        opts = []
+
+        class RecordingSGD(SGD):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        monkeypatch.setattr(trainer, "SGD", RecordingSGD)
+        cfg = tiny_cfg(head_mode=head_mode, stage1_epochs=1, stage1_schedule={"kind": "cosine"},
+                       stage2_epochs=1, batches_per_epoch=1)
+        model = train_stage1(cfg, ds)
+        if stage == 2:
+            model = train_stage2(cfg, model, ds)
+        params = [p for g in opts[-1].groups for p in g["params"]]
+        assert params and all(p.requires_grad and p.grad is not None for p in params)
+        if stage == 1:  # the classifier adds its weight alone, as the bias-free x @ w did
+            own = [p for p in params if not any(p is q for q in model.backbone.parameters())]
+            assert len(own) == 1 and own[0] is model.classifier.dw
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route to the error
     def test_divergence_raises_with_epoch(self, ds):
@@ -629,7 +660,7 @@ class TestPredictProbs:
         model = train_stage1(cfg, ds)
         if head_mode is not None:
             model = train_stage2(cfg, model, ds)
-        expected = softmax(model.logits(ds.test_features, net.EVAL)).values
+        expected = softmax(model.classifier(model.backbone.forward(ds.test_features, net.EVAL))).values
 
         ops = []
         from_op = Tensor._from_op
