@@ -183,6 +183,8 @@ def cmd_train(args) -> int:
     if cfg.stage2_loss == "las" and cfg.stage2_epochs > 0:
         SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1, cfg.eps_k,
                                       cfg.las_p).to_json(out / "schedule.json")
+    else:  # an earlier run's schedule would be taken for this run's
+        (out / "schedule.json").unlink(missing_ok=True)
     manifest = {
         "config": result["config"],
         "final": result["final"],

@@ -300,24 +300,36 @@ class Model:
         The softmax is taken over the logits matrix in place; ``x`` is not changed."""
         return softmax_inplace(self.classifier.eval_logits(self.backbone.frozen_features(x, net.EVAL)))
 
-    def prediction_log(self, x: np.ndarray, labels: np.ndarray) -> PredictionLog:
+    def prediction_log(self, x: np.ndarray, labels: np.ndarray,
+                       features: list[np.ndarray] | None = None) -> PredictionLog:
         """The :class:`PredictionLog` of :meth:`predict_probs` on ``x``, each block of
         rows that ``_score_block_ends`` gives reduced to its records, so that no
-        (N, K) probability matrix is held; ``x`` is not changed."""
+        (N, K) probability matrix is held; ``x`` is not changed. ``features``, the
+        :func:`_eval_features` of ``x`` under this backbone, stand in for running it."""
         # The records are copied into arrays made up front, so that no block's
         # records outlive it: kept in a list and concatenated at the end, they
         # fragmented glibc's heap, and score-csv's peak RSS rose from 57 to 62 MB.
         n = len(x)
         log = PredictionLog(np.empty(n), np.empty(n, dtype=np.intp), np.asarray(labels), np.empty(n))
         ends = _score_block_ends(n)
-        for a, b in zip([0, *ends], ends):
-            block = PredictionLog.from_probs(self.predict_probs(x[a:b]), labels[a:b])
+        for i, (a, b) in enumerate(zip([0, *ends], ends)):
+            # The probabilities are not bound to a name: the next block's would be made beside them.
+            block = PredictionLog.from_probs(self.predict_probs(x[a:b]) if features is None
+                                             else softmax_inplace(self.classifier.eval_logits(features[i])),
+                                             labels[a:b])
             log.confidence[a:b], log.predicted[a:b], log.p_true[a:b] = block.confidence, block.predicted, block.p_true
         return log
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The checkpoint's entries by name; each but ``head.r`` is the model's own array."""
         return {**{f"backbone.{k}": a for k, a in self.backbone.state_arrays().items()}, **self.classifier.state_arrays()}
+
+
+def _eval_features(backbone: net.Backbone, x: np.ndarray) -> list[np.ndarray]:
+    """The eval-mode features of ``x``, one array per block of rows that
+    ``_score_block_ends`` gives: the products :meth:`Model.prediction_log` runs."""
+    ends = _score_block_ends(len(x))
+    return [backbone.frozen_features(x[a:b], net.EVAL) for a, b in zip([0, *ends], ends)]
 
 
 # numpy's overflow warnings stay quiet in training and evaluation: a non-finite
@@ -327,11 +339,13 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 @np.errstate(**_QUIET)
-def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
-    """Accuracy, ECE, and split accuracies on the balanced test set. A test row scored
+def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15,
+             test_features: list[np.ndarray] | None = None) -> dict:
+    """Accuracy, ECE, and split accuracies on the balanced test set (whose
+    :func:`_eval_features` under the model's backbone may be given). A test row scored
     to a NaN probability by a model whose forward pass is finite on every training
     row is a fault of the test data, raised as :func:`~ltcalib.data.nan_row_error`."""
-    log = model.prediction_log(ds.test_features, ds.test_labels)
+    log = model.prediction_log(ds.test_features, ds.test_labels, test_features)
     # A NaN on the training rows too is the model's own fault: the metric stays NaN.
     if (np.isnan(log.confidence).any()
             and not np.isnan(model.prediction_log(ds.features, ds.labels).confidence).any()):
@@ -343,9 +357,10 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15) -> dict:
 
 
 def _draw_block(sampler: Sampler, mix_rng: np.random.Generator, n: int, *, cfg: TrainConfig,
-                k: int, mixup: bool, targets) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs ``(n, B, d)`` and soft targets ``(n, B, k)`` of n steps. Each
-    step draws its batch, then (when ``mixup``) its permutation and its λ from
+                k: int, mixup: bool, targets=None) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs ``(n, B, d)`` and soft targets ``(n, B, k)`` of n steps; with
+    neither mixup nor ``targets``, the labels ``(n, B)`` in place of the targets.
+    Each step draws its batch, then (when ``mixup``) its permutation and its λ from
     ``mix_rng``, in the order a step at a time drew them; mixup and ``targets``
     then run once on the stack, elementwise or row by row, to the same bits."""
     xs, ys, perms, lams = [], [], [], []
@@ -359,50 +374,100 @@ def _draw_block(sampler: Sampler, mix_rng: np.random.Generator, n: int, *, cfg: 
                         if cfg.mixup_force_lam is None else cfg.mixup_force_lam)
     xs, ys = np.array(xs), np.array(ys)
     if not mixup:
-        return xs, targets(ys.ravel()).reshape(*ys.shape, k)
+        return xs, ys if targets is None else targets(ys.ravel()).reshape(*ys.shape, k)
     pairs = np.arange(n)[:, None], np.array(perms)  # step i's rows in perms[i]'s order
     return mixup_batch(xs, ys, xs[pairs], ys[pairs], cfg.mixup_alpha, mix_rng, k,
                        lam=np.array(lams, dtype=np.float64)[:, None, None])
 
 
-@np.errstate(**_QUIET)
-def _fit(model: Model, opt: SGD, sampler: Sampler, *, cfg: TrainConfig, ds: LongTailedDataset,
-         stage: int, epochs: int, schedule: dict, base_lr: float, mode: str, mixup: bool,
-         mix_tag: int, targets, metrics: list | None, final: dict | None) -> Model:
-    """The epoch loop of either stage: draw a batch (mixed up when ``mixup``),
-    run the model's forward chain on arrays, take an SGD step on the soft CE
-    against the mixup targets or ``targets(labels)``, and append one curve row
-    per epoch to ``metrics``; ``final`` is set to the last epoch's evaluation,
-    which scored the model returned. A NaN ECE (the model overflows its
-    training rows too) raises :class:`DivergenceError` for that epoch.
-
-    Batches are drawn a block of steps at a time (:func:`_draw_block`). A frozen
-    backbone (eval or shift mode) depends on the batch alone, so it runs once
-    per block; a block ends at the epoch's end, whose evaluation reads the
-    shift-mode running statistics."""
-    mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
+def _draws(sampler: Sampler, mix_rng: np.random.Generator, *, cfg: TrainConfig, ds: LongTailedDataset,
+           epochs: int, mixup: bool, targets=None):
+    """Stage 1's producer, and Stage 2's draws: per epoch, a generator of its blocks of
+    :func:`_draw_block`, each drawn when asked for and ending by the epoch's end,
+    and no test features."""
     steps = cfg.batches_per_epoch
     if steps is None:
         steps = math.ceil(len(ds.labels) / cfg.batch_size)
     per_block = net.block_steps(cfg.batch_size, max(ds.dim, ds.num_classes, *cfg.hidden))
-    for epoch in range(epochs):
+    for _ in range(epochs):
+        yield (_draw_block(sampler, mix_rng, min(per_block, steps - start), cfg=cfg, k=ds.num_classes,
+                           mixup=mixup, targets=targets)
+               for start in range(0, steps, per_block)), None
+
+
+def _stage2_mode(cfg: TrainConfig) -> str:
+    return net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL
+
+
+def _stage2_feed(cfg: TrainConfig, backbone: net.Backbone, ds: LongTailedDataset):
+    """Stage 2's producer, its work that the head does not change, done when asked
+    for: the BN warm pass, then per epoch the blocks of :func:`_draws` with the
+    frozen backbone's features for inputs, and the test set's :func:`_eval_features`,
+    computed once in eval mode; in shift mode, where the statistics move, None."""
+    sampler = Sampler("class", ds, seed=int(np.random.SeedSequence([cfg.seed, 0xC2]).generate_state(1)[0]))
+    mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9D]))
+    mode = _stage2_mode(cfg)
+    # Without BN the warm pass refreshes nothing; skipped, it leaves the sampler untouched.
+    if cfg.shift_bn and cfg.bn_warm_steps and backbone.norms:
+        net.bn_shift_stats(backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
+    test = _eval_features(backbone, ds.test_features) if mode == net.EVAL else None
+
+    def frozen(block):  # holds a block's inputs only until their features are made
+        return backbone.forward(block[0], mode).values, block[1]
+
+    for blocks, _ in _draws(sampler, mix_rng, cfg=cfg, ds=ds, epochs=cfg.stage2_epochs, mixup=cfg.mixup_stage2):
+        yield map(frozen, blocks), test
+
+
+@np.errstate(**_QUIET)  # as quiet as _fit, in which a solo feed runs
+def _record(cfg: TrainConfig, backbone: net.Backbone, ds: LongTailedDataset) -> list:
+    """:func:`_stage2_feed` on ``backbone`` (whose statistics it writes) run to its end:
+    per epoch, the blocks, the test features and the BN statistics the epoch left."""
+    stream = []
+    for blocks, test in _stage2_feed(cfg, backbone, ds):
+        blocks = list(blocks)
+        stream.append((blocks, test, [(bn.running_mean.copy(), bn.running_var.copy()) for bn in backbone.norms]))
+    return stream
+
+
+def _replay(stream: list, backbone: net.Backbone):
+    """:func:`_record`'s feed, which sets ``backbone``'s BN statistics to copies of the
+    ones an epoch left before that epoch; only its evaluation reads them."""
+    for blocks, test, stats in stream:
+        for bn, (mean, var) in zip(backbone.norms, stats):
+            bn.running_mean, bn.running_var = mean.copy(), var.copy()
+        yield blocks, test
+
+
+@np.errstate(**_QUIET)
+def _fit(model: Model, opt: SGD, feed, *, ds: LongTailedDataset, stage: int, epochs: int,
+         schedule: dict, base_lr: float, mode: str, targets, metrics: list | None,
+         final: dict | None) -> Model:
+    """The epoch loop of either stage. ``feed`` yields per epoch its blocks and the
+    test set's :func:`_eval_features` or None. A block stacks n steps' inputs (the
+    frozen backbone's features in eval or shift mode) and soft targets, or labels
+    that ``targets`` maps to them. Each step runs the model's forward chain on
+    arrays and takes an SGD step on the soft CE. With ``metrics``, each epoch
+    appends one curve row there; ``final`` is set to the last epoch's evaluation,
+    which scored the model returned. A NaN ECE (the model overflows its training
+    rows too) raises :class:`DivergenceError` for that epoch."""
+    for epoch, (blocks, test) in enumerate(feed):
         lr = lr_at(schedule, epoch, epochs, base_lr)
         losses = []
-        for start in range(0, steps, per_block):
-            xs, qs = _draw_block(sampler, mix_rng, min(per_block, steps - start), cfg=cfg,
-                                 k=ds.num_classes, mixup=mixup, targets=targets)
-            if mode != net.TRAIN:
-                xs = model.backbone.forward(xs, mode).values
-            for step, (x, q) in enumerate(zip(xs, qs), start):
+        for xs, qs in blocks:
+            if qs.ndim == 2:
+                qs = targets(qs.ravel()).reshape(*qs.shape, ds.num_classes)
+            for x, q in zip(xs, qs):
                 z, ctx = model.train_forward(x, mode)
                 loss, ce_ctx = softmax_cross_entropy_forward(q, z)
                 losses.append(loss.item())
                 if not math.isfinite(losses[-1]):
-                    raise DivergenceError(stage, epoch, step)
+                    raise DivergenceError(stage, epoch, len(losses) - 1)
                 model.train_backward(ctx, softmax_cross_entropy_backward(ce_ctx))
                 opt.step(lr)
+            del xs, qs, x, q, ce_ctx  # the block dies before the next is made or the epoch is scored
         if metrics is not None:
-            ev = evaluate(model, ds)
+            ev = evaluate(model, ds, test_features=test)
             if math.isnan(ev["ece"]):
                 raise DivergenceError(stage, epoch)
             metrics.append({"epoch": epoch, "stage": stage, "lr": lr,
@@ -430,17 +495,19 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
     params = backbone.parameters() + classifier.parameters()
     groups = [{"params": [p for p in params if p.values.ndim == 2], "weight_decay": cfg.weight_decay},
               {"params": [p for p in params if p.values.ndim == 1]}]
-    return _fit(Model(backbone, classifier), SGD(groups, momentum=cfg.momentum),
-                Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
-                cfg=cfg, ds=ds, stage=1, epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule,
-                base_lr=cfg.lr, mode=net.TRAIN, mixup=cfg.mixup_stage1, mix_tag=0x3F,
-                targets=lambda y: one_hot(y, ds.num_classes), metrics=metrics, final=final)
+    feed = _draws(Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
+                  np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x3F])), cfg=cfg, ds=ds,
+                  epochs=cfg.stage1_epochs, mixup=cfg.mixup_stage1, targets=lambda y: one_hot(y, ds.num_classes))
+    return _fit(Model(backbone, classifier), SGD(groups, momentum=cfg.momentum), feed, ds=ds, stage=1,
+                epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule, base_lr=cfg.lr, mode=net.TRAIN,
+                targets=None, metrics=metrics, final=final)
 
 
 def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
-                 metrics: list | None = None, final: dict | None = None) -> Model:
+                 metrics: list | None = None, final: dict | None = None, stream: list | None = None) -> Model:
     """Classifier retraining on class-balanced batches with a frozen backbone;
-    ``metrics`` and ``final`` as for :func:`train_stage1`."""
+    ``metrics`` and ``final`` as for :func:`train_stage1`. ``stream``, :func:`_record`
+    on this backbone and a config that differs at most in its loss, is replayed."""
     k = ds.num_classes
     head = GeneralizedHead(model.classifier.dw.values, mode=cfg.head_mode, lr_ratio_dw=cfg.lr_ratio_dw)
     groups = head.param_groups()
@@ -448,10 +515,9 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
         # Weight decay on dW only; the scaling vector s is left undecayed.
         if g["params"][0] is head.dw:
             g["weight_decay"] = cfg.weight_decay
-    sampler = Sampler("class", ds, seed=int(np.random.SeedSequence([cfg.seed, 0xC2]).generate_state(1)[0]))
 
-    # The soft-CE targets of a batch's labels, chosen once; las_target_matrix is
-    # called through this module's globals on every step.
+    # The soft-CE targets of a block's labels, chosen once; las_target_matrix is
+    # called through this module's globals on every block.
     if cfg.stage2_loss == "las":
         schedule = SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1,
                                                  cfg.eps_k, cfg.las_p)
@@ -462,29 +528,27 @@ def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,
     else:
         targets = lambda y: one_hot(y, k)
 
-    # Without BN the warm pass refreshes nothing; skipped, it leaves the sampler untouched.
-    if cfg.shift_bn and cfg.bn_warm_steps and model.backbone.norms:
-        net.bn_shift_stats(model.backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
-    return _fit(Model(model.backbone, head), SGD(groups, momentum=cfg.momentum), sampler,
-                cfg=cfg, ds=ds, stage=2, epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule,
-                base_lr=cfg.lr * cfg.stage2_lr_scale,
-                mode=net.SHIFT if cfg.shift_bn and cfg.bn_concurrent else net.EVAL,
-                mixup=cfg.mixup_stage2, mix_tag=0x9D, targets=targets, metrics=metrics, final=final)
+    feed = _stage2_feed(cfg, model.backbone, ds) if stream is None else _replay(stream, model.backbone)
+    return _fit(Model(model.backbone, head), SGD(groups, momentum=cfg.momentum), feed, ds=ds, stage=2,
+                epochs=cfg.stage2_epochs, schedule=cfg.stage2_schedule, base_lr=cfg.lr * cfg.stage2_lr_scale,
+                mode=_stage2_mode(cfg), targets=targets, metrics=metrics, final=final)
 
 
-def run(cfg: TrainConfig, ds: LongTailedDataset, stage1: tuple | None = None) -> dict:
+def run(cfg: TrainConfig, ds: LongTailedDataset, stage1: tuple | None = None,
+        stage2: list | None = None) -> dict:
     """Full pipeline; returns final metrics, per-epoch curves, and the model. The
     final metrics are the last epoch's evaluation (Stage 1 has an epoch at least).
     ``stage1``, a ``(model, curves, final)`` triple from :func:`train_stage1` on a
     config with this one's Stage-1 fields, takes the place of training Stage 1; it
-    is deep-copied, since Stage 2 writes the backbone's BN running statistics."""
+    is deep-copied, since Stage 2 writes the backbone's BN running statistics.
+    ``stage2`` is the ``stream`` of :func:`train_stage2`."""
     if stage1 is None:
         metrics, final = [], {}
         model = train_stage1(cfg, ds, metrics, final)
     else:
         model, metrics, final = copy.deepcopy(stage1)
     if cfg.stage2_epochs > 0:
-        model = train_stage2(cfg, model, ds, metrics, final)
+        model = train_stage2(cfg, model, ds, metrics, final, stream=stage2)
     return {"config": asdict(cfg), "final": final, "curves": metrics, "model": model}
 
 
@@ -496,10 +560,13 @@ def run_ablation_grid(base_cfg: TrainConfig, ds: LongTailedDataset) -> list[dict
     """The 2^3 (mixup, shift-BN, smoothing) toggle grid, every cell on the base
     seed. Only ``mixup_stage1`` reaches Stage 1, so Stage 1 is trained once per
     mixup setting and the four cells that share it each :func:`run` Stage 2 from
-    it; each cell equals ``run`` on its own config. A Stage-1 divergence is the
-    ``error`` of the four cells that share that Stage 1."""
+    it. Only the loss tells the two cells of a ``(mixup, shift-BN)`` pair apart,
+    so both replay one record of the Stage-2 work the head does not change. Each
+    cell equals ``run`` on its own config. A Stage-1 divergence is the ``error``
+    of the four cells that share that Stage 1."""
     results = []
     stage1: dict[bool, tuple | str] = {}  # per mixup setting: (model, curves, final) or an error
+    stream, streamed = None, None  # the recorded Stage 2 of the pair ``streamed``
     for mu, sl, las in ABLATION_CELLS:
         cfg = TrainConfig.from_dict(dict(asdict(base_cfg), mixup_stage1=mu, shift_bn=sl,
                                          stage2_loss="las" if las else "ce"))
@@ -513,8 +580,11 @@ def run_ablation_grid(base_cfg: TrainConfig, ds: LongTailedDataset) -> list[dict
         if isinstance(stage1[mu], str):
             cell.update(error=stage1[mu])
         else:
+            if streamed != (mu, sl) and cfg.stage2_epochs > 0:
+                stream = None  # released before the next is recorded, so one is alive at a time
+                stream, streamed = _record(cfg, copy.deepcopy(stage1[mu][0].backbone), ds), (mu, sl)
             try:
-                res = run(cfg, ds, stage1=stage1[mu])
+                res = run(cfg, ds, stage1=stage1[mu], stage2=stream)
                 cell.update(accuracy=res["final"]["accuracy"], ece=res["final"]["ece"])
             except DivergenceError as exc:
                 cell.update(error=str(exc))

@@ -151,6 +151,16 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == EXIT_OK
         assert not (tmp_path / "run" / "schedule.json").exists()
 
+    def test_a_run_without_a_schedule_removes_the_one_an_earlier_run_left(self, workspace, tmp_path):
+        cfg_path = tmp_path / "ce.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, stage2_loss="ce")))
+        for config, out in ((workspace / "config.json", "reused"), (cfg_path, "reused"), (cfg_path, "fresh")):
+            assert main(["train", "--config", str(config), "--data", str(workspace / "blobs"),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        assert not (tmp_path / "reused" / "schedule.json").exists()
+        files = lambda out: {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+        assert files("reused") == files("fresh")
+
     def test_invalid_epsilons_exit_usage(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(TINY_CONFIG, eps1=0.1, eps_k=0.3)))

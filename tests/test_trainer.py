@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,11 +236,14 @@ class _PerParameterSGD:
                 p.values = p.values - eff_lr * v
 
 
-def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr, mode, mixup,
-               mix_tag, targets, metrics, final):
-    """The loop of ``trainer._fit`` on the tape: Backbone.forward, ``@`` or the
-    head node, the taped losses and backward, and per-parameter SGD. It builds
-    its losses from ``cfg`` and ignores ``targets``."""
+def _taped_fit(cfg, model, opt, feed, *, ds, stage, epochs, schedule, base_lr, mode, targets,
+               metrics, final):
+    """The loop of ``trainer._fit`` on the tape, one step at a time, for ``cfg``. It
+    never reads ``feed``: it draws its own batches from a sampler and a mixup
+    generator seeded as the stage seeds its own, runs Stage 2's warm pass one
+    batch at a time, then for each step Backbone.forward, ``@`` or the head node,
+    the taped losses and backward, and per-parameter SGD. It builds its losses from
+    ``cfg`` and ignores ``targets``, and evaluates through the backbone each epoch."""
     k = ds.num_classes
     if stage == 1 or cfg.stage2_loss == "ce":
         loss_of = lambda y, z: ce_loss(y, z)
@@ -249,8 +254,14 @@ def _taped_fit(model, opt, sampler, *, cfg, ds, stage, epochs, schedule, base_lr
         sched = SmoothingSchedule.from_counts(ds.class_counts, cfg.las_kind, cfg.eps1,
                                               cfg.eps_k, cfg.las_p)
         loss_of = lambda y, z: soft_ce_loss(las_target_matrix(sched, y, k), z)
-    opt = _PerParameterSGD(opt.groups, cfg.momentum)
+    kind, tag, mix_tag, mixup = (("instance", 0x5A, 0x3F, cfg.mixup_stage1) if stage == 1
+                                 else ("class", 0xC2, 0x9D, cfg.mixup_stage2))
+    sampler = Sampler(kind, ds, seed=int(np.random.SeedSequence([cfg.seed, tag]).generate_state(1)[0]))
     mix_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, mix_tag]))
+    if stage == 2 and cfg.shift_bn and model.backbone.norms:
+        for _ in range(cfg.bn_warm_steps):
+            model.backbone.forward(sampler.next_batch(cfg.batch_size)[0], net.SHIFT)
+    opt = _PerParameterSGD(opt.groups, cfg.momentum)
     steps = cfg.batches_per_epoch or math.ceil(len(ds.labels) / cfg.batch_size)
     for epoch in range(epochs):
         lr = lr_at(schedule, epoch, epochs, base_lr)
@@ -304,16 +315,10 @@ CHAIN_CASES = {
 }
 
 
-def _stepwise_shift_stats(backbone, sampler, steps, batch):
-    """``net.bn_shift_stats`` one batch at a time."""
-    for _ in range(steps):
-        backbone.forward(sampler.next_batch(batch)[0], net.SHIFT)
-
-
 class TestDirectChain:
-    """The tape-free training chain, which draws and runs a frozen backbone a
-    block of steps at a time, against a taped reference loop that takes one
-    step at a time, byte for byte."""
+    """The tape-free training chain, which consumes blocks of steps from each
+    stage's producer, against a taped reference loop that takes one step at a
+    time and never calls the producer, byte for byte."""
 
     def test_the_block_cases_span_several_ragged_blocks(self, ds):
         for case in CHAIN_CASES.values():
@@ -326,8 +331,7 @@ class TestDirectChain:
     def test_matches_the_taped_reference(self, ds, case, monkeypatch):
         cfg = tiny_cfg(**CHAIN_CASES[case])
         chain = run(cfg, ds)
-        monkeypatch.setattr(trainer, "_fit", _taped_fit)
-        monkeypatch.setattr(net, "bn_shift_stats", _stepwise_shift_stats)
+        monkeypatch.setattr(trainer, "_fit", functools.partial(_taped_fit, cfg))
         tape = run(cfg, ds)
         assert _run_bytes(chain) == _run_bytes(tape)
 
@@ -464,6 +468,23 @@ class TestStage2:
             own = [p for p in params if not any(p is q for q in model.backbone.parameters())]
             assert len(own) == 1 and own[0] is model.classifier.dw
 
+    @pytest.mark.parametrize("patch", [{}, dict(bn_warm_steps=5, bn_concurrent=False)], ids=["shift", "eval"])
+    def test_a_solo_stage2_keeps_no_stream(self, ds, patch):
+        """Each block is drawn as it is consumed, so the traced peak of 20 epochs
+        exceeds that of 2 by less than one epoch of features and labels."""
+        cfg = tiny_cfg(batches_per_epoch=37, **patch)
+        model = train_stage1(cfg, ds)
+        peaks = []
+        for epochs in (2, 20):
+            fresh = copy.deepcopy(model)
+            tracemalloc.start()
+            try:
+                train_stage2(dataclasses.replace(cfg, stage2_epochs=epochs), fresh, ds, metrics=[])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < cfg.batches_per_epoch * cfg.batch_size * (cfg.hidden[-1] + 1) * 8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route to the error
     def test_divergence_raises_with_epoch(self, ds):
         cfg = tiny_cfg(lr=1e12)
@@ -529,6 +550,60 @@ class TestFinalEvaluation:
                                   "the model overflows its own training rows")
 
 
+def _stage2_scoring_training_rows(cfg, ds, replay, monkeypatch):
+    """``run`` of Stage 2 of ``cfg`` on ``ds`` after an unevaluated Stage 1, solo or
+    replaying a record of its head-independent work, and the backbone state bytes
+    of each scoring of the training rows, in a list filled as Stage 2 runs."""
+    stage1 = (train_stage1(cfg, ds), [], {})
+    stream = trainer._record(cfg, copy.deepcopy(stage1[0].backbone), ds) if replay else None
+    scored, original = [], trainer.Model.prediction_log
+
+    def recording(model, x, labels, features=None):
+        if x is ds.features:
+            scored.append({k: a.tobytes() for k, a in model.backbone.state_arrays().items()})
+        return original(model, x, labels, features)
+
+    monkeypatch.setattr(trainer.Model, "prediction_log", recording)
+    return lambda: run(cfg, ds, stage1=stage1, stage2=stream), scored
+
+
+EVAL_MODE_STAGE2 = {"no_shift": dict(shift_bn=False), "warm_only": dict(bn_warm_steps=5, bn_concurrent=False)}
+
+
+class TestEvalModeStage2Faults:
+    """Eval-mode Stage 2 scores the test rows from features computed once; the
+    faults it finds still score the training rows through the backbone as it
+    stood at that epoch: the warmed one after a warm pass, solo or replayed."""
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["solo", "replay"])
+    @pytest.mark.parametrize("patch", EVAL_MODE_STAGE2.values(), ids=EVAL_MODE_STAGE2)
+    def test_a_model_that_overflows_its_training_rows_is_a_divergence_at_that_epoch(self, ds, monkeypatch,
+                                                                                    patch, replay):
+        cfg = tiny_cfg(stage2_lr_scale=1e300, batches_per_epoch=1, **patch)
+        warmed = run(dataclasses.replace(cfg, stage2_lr_scale=0.1), ds)["model"].backbone.state_arrays()
+        stage2, scored = _stage2_scoring_training_rows(cfg, ds, replay, monkeypatch)
+        with pytest.raises(DivergenceError) as exc:
+            stage2()
+        assert (exc.value.stage, exc.value.epoch, exc.value.step) == (2, 0, None)
+        assert str(exc.value) == ("non-finite evaluation at stage 2, epoch 0: "
+                                  "the model overflows its own training rows")
+        assert scored == [{k: a.tobytes() for k, a in warmed.items()}]
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["solo", "replay"])
+    @pytest.mark.parametrize("patch", EVAL_MODE_STAGE2.values(), ids=EVAL_MODE_STAGE2)
+    def test_a_test_row_a_finite_model_overflows_is_a_data_fault_naming_the_row(self, ds, monkeypatch,
+                                                                                 patch, replay):
+        cfg = tiny_cfg(**patch)
+        warmed = run(cfg, ds)["model"].backbone.state_arrays()
+        test_features = ds.test_features.copy()
+        test_features[2] = 1.7e308
+        bad = dataclasses.replace(ds, test_features=test_features, test_path="t.test.csv")
+        stage2, scored = _stage2_scoring_training_rows(cfg, bad, replay, monkeypatch)
+        with pytest.raises(DatasetFormatError, match="^t.test.csv: data row 3 overflows "):
+            stage2()
+        assert scored == [{k: a.tobytes() for k, a in warmed.items()}]
+
+
 # Base configs of the grid: the defaults, where shift-mode Stage 2 writes the BN
 # statistics on every step, and grid-c10's warm pass with no concurrent update.
 GRID_BASES = {
@@ -555,6 +630,35 @@ def grids(ds):
             mp.setattr(trainer, "run", lambda cfg, *a, **kw: runs.append((cfg, whole(cfg, *a, **kw))) or runs[-1][1])
             cells = run_ablation_grid(tiny_cfg(**patch), ds)
         out[name] = cells, stage1_calls, runs
+    return out
+
+
+@pytest.fixture(scope="module")
+def grid_work(ds):
+    """Per base config, with two Stage-2 epochs of three blocks each: the grid's
+    warm passes, and its Stage-2 blocks run through the frozen backbone."""
+    out = {}
+    for name, patch in GRID_BASES.items():
+        work, warming = {"warm passes": 0, "stage-2 blocks": 0}, []
+        shift_stats, forward = net.bn_shift_stats, net.Backbone.forward
+
+        def counted_shift_stats(*a, **kw):
+            work["warm passes"] += 1
+            warming.append(None)
+            try:
+                return shift_stats(*a, **kw)
+            finally:
+                warming.pop()
+
+        def counted_forward(backbone, x, mode):
+            work["stage-2 blocks"] += mode != net.TRAIN and np.ndim(x) == 3 and not warming
+            return forward(backbone, x, mode)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(net, "bn_shift_stats", counted_shift_stats)
+            mp.setattr(net.Backbone, "forward", counted_forward)
+            run_ablation_grid(tiny_cfg(**dict(patch, stage2_epochs=2, batches_per_epoch=37)), ds)
+        out[name] = work
     return out
 
 
@@ -585,6 +689,23 @@ class TestAblationGrid:
         assert shared["curves"] == solo["curves"]
         assert ({k: v.tobytes() for k, v in shared["model"].state_arrays().items()}
                 == {k: v.tobytes() for k, v in solo["model"].state_arrays().items()})
+
+    def test_the_warm_pass_runs_once_per_pair_with_shift_bn(self, grid_work):
+        assert grid_work["warm_pass"]["warm passes"] == 2
+        assert grid_work["concurrent_shift"]["warm passes"] == 0
+
+    @pytest.mark.parametrize("base", GRID_BASES)
+    def test_the_frozen_backbone_runs_once_per_pair_per_block(self, ds, grid_work, base):
+        blocks = math.ceil(37 / net.block_steps(tiny_cfg().batch_size, max(ds.dim, ds.num_classes, *tiny_cfg().hidden)))
+        assert blocks == 3
+        assert grid_work[base]["stage-2 blocks"] == 4 * 2 * blocks
+
+    @pytest.mark.parametrize("base", GRID_BASES)
+    def test_the_cells_of_a_pair_return_models_that_share_no_array(self, grids, base):
+        _, _, runs = grids[base]
+        for (_, ce), (_, las) in zip(runs[::2], runs[1::2]):
+            for a in ce["model"].state_arrays().values():
+                assert not any(np.shares_memory(a, b) for b in las["model"].state_arrays().values())
 
     @pytest.mark.parametrize("diverged", [False, True], ids=["no_mixup", "mixup"])
     def test_a_stage1_divergence_is_the_error_of_the_four_cells_sharing_it(self, ds, monkeypatch, diverged):

@@ -14,8 +14,9 @@ sides' files carry the time of export as their mtime.
 Byte-diff: in each tree, every workload of ``perfbench/workloads.py`` runs its
 set-up and one operation for one seed, then ``train`` runs the small
 ``TRAIN_VARIANTS`` configs on a gen-data set of that seed, and ``ablate`` runs
-``TRAIN_BASE`` there (the shift-mode grid, which ``grid-c10`` does not run).
-Every file they write (gen-data files, the ``train-c100`` outputs, both
+the ``ABLATE_VARIANTS`` configs there (shift-mode grids, which ``grid-c10``, whose
+Stage 2 runs in eval mode alone, does not run).
+Every file they write (gen-data files, the ``train-c100`` outputs, the
 ``ablation.json`` files, the scoring checkpoint and outputs, each variant's
 config and train outputs) and the ``eval`` stdout is compared byte for byte.
 Then each tree's code runs ``eval``, ``reliability``, ``distributions`` and
@@ -80,10 +81,17 @@ TRAIN_VARIANTS = {
     # shift-mode Stage 2 with no statistics to shift.
     "no_bn_three_blocks": {"batchnorm": False, "hidden": [16, 8, 8]},
 }
+# The ablate grids, each TRAIN_BASE patched: concurrent shift, then a warm pass
+# and epochs of two full blocks of steps and a ragged one under concurrent shift,
+# so that the Stage-2 work a pair of cells shares spans all three.
+ABLATE_VARIANTS = {
+    "ablate": {},
+    "ablate_blocks_warm_and_concurrent": {"bn_warm_steps": 37, "batches_per_epoch": 37},
+}
 
 # Run inside each tree: the set-up and one operation of every workload, then
-# the train variants and the ablate grid, with that tree's ltcalib and perfbench.
-# argv: tree, output directory, seed, {variant: config} as JSON, the ablate config as JSON.
+# the train variants and the ablate grids, with that tree's ltcalib and perfbench.
+# argv: tree, output directory, seed, then {variant: config} as JSON for train and for ablate.
 ARTIFACTS_CHILD = """
 import json
 import sys
@@ -102,13 +110,11 @@ inputs = out / "train-variants" / "inputs"
 inputs.mkdir(parents=True)
 call_cli(["gen-data", "--classes", "10", "--nmax", "200", "--nmin", "5", "--dim", "8",
           "--seed", str(seed), "--out", str(inputs / "blobs")])
-for name, config in json.loads(sys.argv[4]).items():
-    (inputs / f"{name}.json").write_text(json.dumps(config))
-    call_cli(["train", "--config", str(inputs / f"{name}.json"), "--data", str(inputs / "blobs"),
-              "--out", str(out / "train-variants" / name)])
-(inputs / "ablate.json").write_text(sys.argv[5])
-call_cli(["ablate", "--config", str(inputs / "ablate.json"), "--data", str(inputs / "blobs"),
-          "--out", str(out / "train-variants" / "ablate")])
+for command, variants in (("train", sys.argv[4]), ("ablate", sys.argv[5])):
+    for name, config in json.loads(variants).items():
+        (inputs / f"{name}.json").write_text(json.dumps(config))
+        call_cli([command, "--config", str(inputs / f"{name}.json"), "--data", str(inputs / "blobs"),
+                  "--out", str(out / "train-variants" / name)])
 """
 
 # Run inside one tree: score the other tree's score-csv checkpoint and dataset
@@ -158,9 +164,9 @@ def child_env() -> dict:
 
 
 def write_artifacts(tree: Path, out: Path, seed: int) -> None:
-    variants = {name: dict(TRAIN_BASE, seed=seed, **patch) for name, patch in TRAIN_VARIANTS.items()}
-    subprocess.run([sys.executable, "-c", ARTIFACTS_CHILD, str(tree), str(out), str(seed),
-                    json.dumps(variants), json.dumps(dict(TRAIN_BASE, seed=seed))],
+    variants = [json.dumps({name: dict(TRAIN_BASE, seed=seed, **patch) for name, patch in table.items()})
+                for table in (TRAIN_VARIANTS, ABLATE_VARIANTS)]
+    subprocess.run([sys.executable, "-c", ARTIFACTS_CHILD, str(tree), str(out), str(seed), *variants],
                    cwd=tree, env=child_env(), check=True, timeout=RUN_TIMEOUT_S)
 
 
