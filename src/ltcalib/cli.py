@@ -11,7 +11,6 @@ sidecar alone).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -71,10 +70,6 @@ PRESETS: dict[str, dict] = {
 }
 # Alias: the full method (mixup + shifted BN + label-aware smoothing).
 PRESETS["mislas-cifar100lt-if100-analog"] = PRESETS["cifar100lt-if100-analog"]
-
-
-def _default_out() -> str:
-    return os.environ.get("LTCALIB_OUT", ".")
 
 
 def build_parser() -> _Parser:
@@ -153,8 +148,7 @@ def _scored(args) -> tuple[dict, PredictionLog]:
     CSV is not read); a row the forward pass overflows to a NaN probability is a malformed file."""
     sidecar, features, labels = data_mod.load_test_split(args.data)
     model = _load_model_for(sidecar, args.checkpoint)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log = model.prediction_log(features, labels)
+    log = model.prediction_log(features, labels)
     # argmax picks a row's NaN when it holds one.
     if np.isnan(log.confidence).any():
         raise data_mod.nan_row_error(Path(args.data).parent / sidecar["test_csv"], log.confidence)
@@ -175,7 +169,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, ds = _load_config_and_dataset(args)
-    out = Path(args.out or _default_out())
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     result = trainer_mod.run(cfg, ds)
     trainer_mod.write_metrics_csv(result["curves"], out / "metrics.csv")  # refuses a non-finite curve first
@@ -198,7 +192,7 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, ds = _load_config_and_dataset(args)
-    out = Path(args.out or _default_out())
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     results = trainer_mod.run_ablation_grid(cfg, ds)
     write_json(out / "ablation.json", results)
@@ -224,14 +218,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _report(args, name: str, export) -> int:
+    """``export(path)`` at ``--out``, by default ``name`` in the working directory."""
+    out = Path(args.out or name)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    export(out)
+    print(f"wrote {out}")
+    return EXIT_OK
+
+
 def cmd_reliability(args) -> int:
     _, log = _scored(args)
     rows = reliability_bins(log, args.bins)
-    out = Path(args.out or (Path(_default_out()) / "reliability.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    export_reliability_csv(rows, out)
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _report(args, "reliability.csv", lambda out: export_reliability_csv(rows, out))
 
 
 def cmd_weight_norms(args) -> int:
@@ -239,21 +238,13 @@ def cmd_weight_norms(args) -> int:
     model = _load_model_for(sidecar, args.checkpoint)
     if model.classifier.w is None:
         raise UsageError("checkpoint has no trained classifier head")
-    out = Path(args.out or (Path(_default_out()) / "weight_norms.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    model.classifier.export_weight_norms(out, sidecar["class_counts"])
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _report(args, "weight_norms.csv", lambda out: model.classifier.export_weight_norms(out, sidecar["class_counts"]))
 
 
 def cmd_distributions(args) -> int:
     sidecar, log = _scored(args)
     dist = probability_distribution(log, sidecar["splits"])
-    out = Path(args.out or (Path(_default_out()) / "distributions.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    export_distribution_csv(dist, out)
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _report(args, "distributions.csv", lambda out: export_distribution_csv(dist, out))
 
 
 COMMANDS = {

@@ -180,12 +180,6 @@ class Tensor:
         n = self.values.size if axis is None else self.values.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
 
-    def log(self):
-        def backward(g):
-            self._accumulate(g / self.values)
-
-        return Tensor._from_op(np.log(self.values), (self,), backward)
-
     def exp(self):
         out_vals = np.exp(self.values)
 

@@ -99,7 +99,7 @@ class SGD:
         self.groups = param_groups
         self.momentum = momentum
         self.velocity: dict[int, np.ndarray] = {}  # id(param) -> view into its group's buffer
-        self._flat = []  # per non-empty group: (group, values, grads, velocity, slices)
+        self._flat = []  # per non-empty group: (group, values, grads, velocity)
         for g in param_groups:
             params = g["params"]
             if not params:
@@ -112,7 +112,7 @@ class SGD:
                 values[span] = p.values.ravel()
                 p.values = values[span].reshape(shape)
                 self.velocity[id(p)] = velocity[span].reshape(shape)
-            self._flat.append((g, values, np.empty_like(values), velocity, spans))
+            self._flat.append((g, values, np.empty_like(values), velocity))
 
     def zero_grad(self):
         for g in self.groups:
@@ -120,26 +120,14 @@ class SGD:
                 p.zero_grad()
 
     def step(self, lr: float):
-        """One update of every parameter with a gradient; one whose ``.grad``
-        is None keeps its values and velocity."""
-        for g, values, grads, velocity, spans in self._flat:
-            eff_lr = lr * g.get("lr_mult", 1.0)
-            wd = g.get("weight_decay", 0.0)
-            params = g["params"]
-            if all(p.grad is not None for p in params):
-                np.concatenate([p.grad.ravel() for p in params], out=grads)
-                self._update(values, grads, velocity, eff_lr, wd)
-                continue
-            for p, span in zip(params, spans):
-                if p.grad is not None:
-                    self._update(values[span], p.grad.ravel(), velocity[span], eff_lr, wd)
-
-    def _update(self, values, grad, velocity, lr, wd):
-        if wd:
-            grad = grad + wd * values
-        velocity *= self.momentum
-        velocity += grad
-        values -= lr * velocity
+        """One update of every parameter; each must hold a ``.grad``."""
+        for g, values, grads, velocity in self._flat:
+            np.concatenate([p.grad.ravel() for p in g["params"]], out=grads)
+            if wd := g.get("weight_decay", 0.0):
+                grads = grads + wd * values
+            velocity *= self.momentum
+            velocity += grads
+            values -= lr * g.get("lr_mult", 1.0) * velocity
 
 
 _MILESTONES = list_of("integers in [0, 2**63)", _COUNT)
@@ -262,6 +250,12 @@ def _score_block_ends(n: int) -> list[int]:
     return [_SCORE_BLOCK_ROWS * i for i in range(1, n // _SCORE_BLOCK_ROWS)] + [n]
 
 
+# numpy's overflow warnings stay quiet in training and scoring: a non-finite
+# loss or evaluation is reported once, as the DivergenceError that names where
+# it happened, and a test row scored to NaN as the error that names the row.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 class Model:
     """Backbone plus classifier, a :class:`GeneralizedHead`: its Stage-1 form,
     with no frozen W, or the Stage-2 head built from that form's weight. The
@@ -300,23 +294,24 @@ class Model:
         The softmax is taken over the logits matrix in place; ``x`` is not changed."""
         return softmax_inplace(self.classifier.eval_logits(self.backbone.frozen_features(x, net.EVAL)))
 
+    @np.errstate(**_QUIET)
     def prediction_log(self, x: np.ndarray, labels: np.ndarray,
                        features: list[np.ndarray] | None = None) -> PredictionLog:
         """The :class:`PredictionLog` of :meth:`predict_probs` on ``x``, each block of
-        rows that ``_score_block_ends`` gives reduced to its records, so that no
-        (N, K) probability matrix is held; ``x`` is not changed. ``features``, the
-        :func:`_eval_features` of ``x`` under this backbone, stand in for running it."""
+        :func:`_eval_features` reduced to its records, so that no (N, K) probability
+        matrix is held; ``x`` is not changed. ``features``, those blocks made
+        beforehand under this backbone, stand in for running it."""
         # The records are copied into arrays made up front, so that no block's
         # records outlive it: kept in a list and concatenated at the end, they
         # fragmented glibc's heap, and score-csv's peak RSS rose from 57 to 62 MB.
         n = len(x)
         log = PredictionLog(np.empty(n), np.empty(n, dtype=np.intp), np.asarray(labels), np.empty(n))
+        blocks = iter(_eval_features(self.backbone, x) if features is None else features)
         ends = _score_block_ends(n)
-        for i, (a, b) in enumerate(zip([0, *ends], ends)):
-            # The probabilities are not bound to a name: the next block's would be made beside them.
-            block = PredictionLog.from_probs(self.predict_probs(x[a:b]) if features is None
-                                             else softmax_inplace(self.classifier.eval_logits(features[i])),
-                                             labels[a:b])
+        for a, b in zip([0, *ends], ends):
+            # Neither a block's features nor its probabilities are bound to a name (zip's
+            # reused tuple would bind them): the next block's would be made beside them.
+            block = PredictionLog.from_probs(softmax_inplace(self.classifier.eval_logits(next(blocks))), labels[a:b])
             log.confidence[a:b], log.predicted[a:b], log.p_true[a:b] = block.confidence, block.predicted, block.p_true
         return log
 
@@ -325,22 +320,14 @@ class Model:
         return {**{f"backbone.{k}": a for k, a in self.backbone.state_arrays().items()}, **self.classifier.state_arrays()}
 
 
-def _eval_features(backbone: net.Backbone, x: np.ndarray) -> list[np.ndarray]:
+def _eval_features(backbone: net.Backbone, x: np.ndarray):
     """The eval-mode features of ``x``, one array per block of rows that
-    ``_score_block_ends`` gives: the products :meth:`Model.prediction_log` runs."""
+    ``_score_block_ends`` gives, each made when asked for."""
     ends = _score_block_ends(len(x))
-    return [backbone.frozen_features(x[a:b], net.EVAL) for a, b in zip([0, *ends], ends)]
+    return (backbone.frozen_features(x[a:b], net.EVAL) for a, b in zip([0, *ends], ends))
 
 
-# numpy's overflow warnings stay quiet in training and evaluation: a non-finite
-# loss or evaluation is reported once, as the DivergenceError that names where
-# it happened.
-_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-
-
-@np.errstate(**_QUIET)
-def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15,
-             test_features: list[np.ndarray] | None = None) -> dict:
+def evaluate(model: Model, ds: LongTailedDataset, test_features: list[np.ndarray] | None = None) -> dict:
     """Accuracy, ECE, and split accuracies on the balanced test set (whose
     :func:`_eval_features` under the model's backbone may be given). A test row scored
     to a NaN probability by a model whose forward pass is finite on every training
@@ -350,19 +337,18 @@ def evaluate(model: Model, ds: LongTailedDataset, bins: int = 15,
     if (np.isnan(log.confidence).any()
             and not np.isnan(model.prediction_log(ds.features, ds.labels).confidence).any()):
         raise nan_row_error(ds.test_path, log.confidence)
-    report = ece(log, bins)
-    out = {"accuracy": float(log.correct.mean() * 100.0), "ece": report.ece_percent}
+    out = {"accuracy": float(log.correct.mean() * 100.0), "ece": ece(log).ece_percent}
     out.update({f"acc_{k}": v for k, v in split_accuracy(log, ds.splits).items()})
     return out
 
 
 def _draw_block(sampler: Sampler, mix_rng: np.random.Generator, n: int, *, cfg: TrainConfig,
-                k: int, mixup: bool, targets=None) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs ``(n, B, d)`` and soft targets ``(n, B, k)`` of n steps; with
-    neither mixup nor ``targets``, the labels ``(n, B)`` in place of the targets.
+                k: int, mixup: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs ``(n, B, d)`` and, with mixup, the soft targets ``(n, B, k)`` of n
+    steps; without it, the labels ``(n, B)``, which :func:`_fit` maps to targets.
     Each step draws its batch, then (when ``mixup``) its permutation and its λ from
-    ``mix_rng``, in the order a step at a time drew them; mixup and ``targets``
-    then run once on the stack, elementwise or row by row, to the same bits."""
+    ``mix_rng``, in the order a step at a time drew them; mixup then runs once on
+    the stack, elementwise, to the same bits."""
     xs, ys, perms, lams = [], [], [], []
     for _ in range(n):
         x, y = sampler.next_batch(cfg.batch_size)
@@ -374,14 +360,14 @@ def _draw_block(sampler: Sampler, mix_rng: np.random.Generator, n: int, *, cfg: 
                         if cfg.mixup_force_lam is None else cfg.mixup_force_lam)
     xs, ys = np.array(xs), np.array(ys)
     if not mixup:
-        return xs, ys if targets is None else targets(ys.ravel()).reshape(*ys.shape, k)
+        return xs, ys
     pairs = np.arange(n)[:, None], np.array(perms)  # step i's rows in perms[i]'s order
     return mixup_batch(xs, ys, xs[pairs], ys[pairs], cfg.mixup_alpha, mix_rng, k,
                        lam=np.array(lams, dtype=np.float64)[:, None, None])
 
 
 def _draws(sampler: Sampler, mix_rng: np.random.Generator, *, cfg: TrainConfig, ds: LongTailedDataset,
-           epochs: int, mixup: bool, targets=None):
+           epochs: int, mixup: bool):
     """Stage 1's producer, and Stage 2's draws: per epoch, a generator of its blocks of
     :func:`_draw_block`, each drawn when asked for and ending by the epoch's end,
     and no test features."""
@@ -390,8 +376,7 @@ def _draws(sampler: Sampler, mix_rng: np.random.Generator, *, cfg: TrainConfig, 
         steps = math.ceil(len(ds.labels) / cfg.batch_size)
     per_block = net.block_steps(cfg.batch_size, max(ds.dim, ds.num_classes, *cfg.hidden))
     for _ in range(epochs):
-        yield (_draw_block(sampler, mix_rng, min(per_block, steps - start), cfg=cfg, k=ds.num_classes,
-                           mixup=mixup, targets=targets)
+        yield (_draw_block(sampler, mix_rng, min(per_block, steps - start), cfg=cfg, k=ds.num_classes, mixup=mixup)
                for start in range(0, steps, per_block)), None
 
 
@@ -410,7 +395,7 @@ def _stage2_feed(cfg: TrainConfig, backbone: net.Backbone, ds: LongTailedDataset
     # Without BN the warm pass refreshes nothing; skipped, it leaves the sampler untouched.
     if cfg.shift_bn and cfg.bn_warm_steps and backbone.norms:
         net.bn_shift_stats(backbone, sampler, cfg.bn_warm_steps, cfg.batch_size)
-    test = _eval_features(backbone, ds.test_features) if mode == net.EVAL else None
+    test = list(_eval_features(backbone, ds.test_features)) if mode == net.EVAL else None
 
     def frozen(block):  # holds a block's inputs only until their features are made
         return backbone.forward(block[0], mode).values, block[1]
@@ -445,12 +430,12 @@ def _fit(model: Model, opt: SGD, feed, *, ds: LongTailedDataset, stage: int, epo
          final: dict | None) -> Model:
     """The epoch loop of either stage. ``feed`` yields per epoch its blocks and the
     test set's :func:`_eval_features` or None. A block stacks n steps' inputs (the
-    frozen backbone's features in eval or shift mode) and soft targets, or labels
-    that ``targets`` maps to them. Each step runs the model's forward chain on
-    arrays and takes an SGD step on the soft CE. With ``metrics``, each epoch
-    appends one curve row there; ``final`` is set to the last epoch's evaluation,
-    which scored the model returned. A NaN ECE (the model overflows its training
-    rows too) raises :class:`DivergenceError` for that epoch."""
+    frozen backbone's features in eval or shift mode) and mixup's soft targets, or
+    labels, which ``targets`` maps to soft targets here and nowhere else. Each step
+    runs the model's forward chain on arrays and takes an SGD step on the soft CE.
+    With ``metrics``, each epoch appends one curve row there; ``final`` is set to
+    the last epoch's evaluation, which scored the model returned. A NaN ECE (the
+    model overflows its training rows too) raises :class:`DivergenceError` for it."""
     for epoch, (blocks, test) in enumerate(feed):
         lr = lr_at(schedule, epoch, epochs, base_lr)
         losses = []
@@ -497,10 +482,10 @@ def train_stage1(cfg: TrainConfig, ds: LongTailedDataset, metrics: list | None =
               {"params": [p for p in params if p.values.ndim == 1]}]
     feed = _draws(Sampler("instance", ds, seed=int(np.random.SeedSequence([cfg.seed, 0x5A]).generate_state(1)[0])),
                   np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x3F])), cfg=cfg, ds=ds,
-                  epochs=cfg.stage1_epochs, mixup=cfg.mixup_stage1, targets=lambda y: one_hot(y, ds.num_classes))
+                  epochs=cfg.stage1_epochs, mixup=cfg.mixup_stage1)
     return _fit(Model(backbone, classifier), SGD(groups, momentum=cfg.momentum), feed, ds=ds, stage=1,
                 epochs=cfg.stage1_epochs, schedule=cfg.stage1_schedule, base_lr=cfg.lr, mode=net.TRAIN,
-                targets=None, metrics=metrics, final=final)
+                targets=lambda y: one_hot(y, ds.num_classes), metrics=metrics, final=final)
 
 
 def train_stage2(cfg: TrainConfig, model: Model, ds: LongTailedDataset,

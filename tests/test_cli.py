@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ltcalib import data as data_mod, net
 from ltcalib.cli import EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, EXIT_SHAPE, EXIT_USAGE, PRESETS, main
-from ltcalib.trainer import TrainConfig, load_model
+from ltcalib.trainer import TrainConfig, load_model, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -330,6 +331,26 @@ class TestTrain:
         assert PRESETS["cifar10lt-if100-analog"]["config"]["eps_k"] == 0.0
         assert PRESETS["mislas-cifar100lt-if100-analog"] is PRESETS["cifar100lt-if100-analog"]
 
+    def test_config_without_data_exits_usage_and_writes_nothing(self, workspace, tmp_path, capsys):
+        code = main(["train", "--config", str(workspace / "config.json"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --data is required when no preset supplies a synthetic analog\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_a_preset_alone_trains_on_its_synthetic_analog_at_the_config_seed(self, tmp_path, monkeypatch):
+        spec = {"classes": 3, "nmax": 40, "nmin": 4, "dim": 3, "spread": 0.45}
+        preset = dict(TINY_CONFIG, seed=3)
+        monkeypatch.setitem(PRESETS, "tiny-analog", {"config": preset, "dataset": spec})
+        assert main(["train", "--preset", "tiny-analog", "--out", str(tmp_path / "run")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"] == dict(dataclasses.asdict(TrainConfig()), **preset)
+        counts = data_mod.make_longtail_profile(spec["nmax"], spec["nmin"], spec["classes"])
+        solo = run(TrainConfig.from_dict(manifest["config"]),
+                   data_mod.gen_gaussian_blobs(counts, spec["dim"], spec["spread"], seed=3))
+        assert manifest["final"] == solo["final"]
+        assert ({k: a.tobytes() for k, a in load_model(tmp_path / "run" / "model").state_arrays().items()}
+                == {k: a.tobytes() for k, a in solo["model"].state_arrays().items()})
+
 
 class TestAblate:
     def test_grid_json_and_table(self, workspace, tmp_path, capsys):
@@ -375,6 +396,43 @@ class TestInspection:
         sidecar = json.loads((workspace / "blobs.json").read_text())
         assert len(rows) == 50 * len(sidecar["class_counts"])
         assert {r.split(",")[0] for r in rows} <= set(sidecar["splits"])
+
+
+class TestDefaultOut:
+    """Without ``--out``, or with an empty one, train and ablate write into the
+    working directory and each report writes its CSV there."""
+
+    @pytest.mark.parametrize("command, names", [
+        ("train", ["manifest.json", "metrics.csv", "model.bin", "model.json", "schedule.json"]),
+        ("ablate", ["ablation.json"])])
+    def test_train_and_ablate_write_into_the_working_directory(self, workspace, tmp_path, monkeypatch,
+                                                               command, names):
+        argv = [command, "--config", str(workspace / "config.json"), "--data", str(workspace / "blobs")]
+        written = []
+        for out in ([], ["--out", ""]):
+            cwd = tmp_path / str(len(out))
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main([*argv, *out]) == EXIT_OK
+            written.append({p.name: p.read_bytes() for p in cwd.iterdir()})
+        assert sorted(written[0]) == names and written[0] == written[1]
+
+    @pytest.mark.parametrize("command, name", [("reliability", "reliability.csv"),
+                                               ("weight-norms", "weight_norms.csv"),
+                                               ("distributions", "distributions.csv")])
+    def test_a_report_writes_its_csv_into_the_working_directory(self, workspace, tmp_path, monkeypatch, capsys,
+                                                                command, name):
+        argv = [command, "--checkpoint", str(workspace / "run" / "model"), "--data", str(workspace / "blobs")]
+        assert main([*argv, "--out", str(tmp_path / "given.csv")]) == EXIT_OK
+        capsys.readouterr()
+        for out in ([], ["--out", ""]):
+            cwd = tmp_path / str(len(out))
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main([*argv, *out]) == EXIT_OK
+            assert capsys.readouterr().out == f"wrote {name}\n"
+            assert [p.name for p in cwd.iterdir()] == [name]
+            assert (cwd / name).read_bytes() == (tmp_path / "given.csv").read_bytes()
 
 
 class TestFailureModes:
@@ -549,6 +607,28 @@ class TestMalformedDataset:
         _edit_lines(prefix.with_suffix(".test.csv"), lambda lines: [*lines, "", ""])
         assert main([*args, "--data", str(prefix)]) == EXIT_OK
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("counts, cause", [([60, 19, 5], "class_counts must sum to the number of instances"),
+                                               ([60, 20, 5], "label histogram disagrees with class_counts")],
+                             ids=["sum", "histogram"])
+    def test_class_counts_that_disagree_with_the_training_labels_exit_io_before_any_write(
+            self, workspace, tmp_path, capsys, counts, cause):
+        prefix = _copy_dataset(workspace, tmp_path)
+        _edit_sidecar(prefix.with_suffix(".json"), class_counts=counts)
+        code = main(_command_argv("train", workspace, prefix, tmp_path / "run"))
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: {prefix}.json: {cause}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("suffix, command", [(".test.csv", "eval"), (".csv", "train")])
+    def test_rows_one_column_wider_than_the_header_exit_io_naming_both_widths(self, workspace, tmp_path, capsys,
+                                                                             suffix, command):
+        prefix = _copy_dataset(workspace, tmp_path)
+        _edit_lines(Path(f"{prefix}{suffix}"), lambda lines: [lines[0], *(row + ",0.5" for row in lines[1:])])
+        code = main(_command_argv(command, workspace, prefix, tmp_path / "out"))
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: {prefix}{suffix}: 5 columns, header has 4\n"
+        assert not (tmp_path / "out").exists()
 
 
 def _command_argv(command, workspace, prefix, out):
@@ -743,6 +823,16 @@ class TestMalformedCheckpoint:
         assert code == EXIT_IO
         assert err.startswith(f"i/o error: {tmp_path / 'model'}.") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    def test_a_duplicate_entry_name_exits_io(self, workspace, tmp_path):
+        prefix = _copy_checkpoint(workspace / "run" / "model", tmp_path)
+        entries = json.loads(prefix.with_suffix(".json").read_text())["entries"]
+        # The entries still tile the blob in order, so only the name check refuses it.
+        entries[1]["name"] = entries[0]["name"]
+        _edit_manifest(prefix.with_suffix(".json"), lambda m: dict(m, entries=entries))
+        code, _, err = _eval(prefix, workspace)
+        _assert_io_error_line(code, err, prefix)
+        assert f"duplicate entry {entries[0]['name']!r}" in err
 
 
 def _run(argv) -> tuple[int, str, str]:

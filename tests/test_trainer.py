@@ -177,20 +177,6 @@ class TestConfig:
 
 
 class TestSGD:
-    def test_parameter_without_gradient_keeps_values_and_velocity(self):
-        grads = [(np.array([0.3, -0.1]), np.array([[1.0], [-1.0]])), (np.array([0.2, 0.2]), None)]
-        runs = []
-        for make in (SGD, _PerParameterSGD):
-            a = Tensor([1.0, -2.0], requires_grad=True)
-            b = Tensor([[0.5], [3.0]], requires_grad=True)
-            opt = make([{"params": [a, b], "weight_decay": 0.1}], momentum=0.9)
-            for a.grad, b.grad in grads:  # b has no gradient in the second step
-                kept = b.values.tobytes(), opt.velocity[id(b)].tobytes()
-                opt.step(0.5)
-            assert (b.values.tobytes(), opt.velocity[id(b)].tobytes()) == kept
-            runs.append([a.values.tobytes(), opt.velocity[id(a)].tobytes(), b.values.tobytes()])
-        assert runs[0] == runs[1]
-
     def test_negative_zero_gradient_stays_negative_zero_in_the_plain_group(self):
         decayed, plain = Tensor([1.0], requires_grad=True), Tensor([1.0], requires_grad=True)
         opt = SGD([{"params": [decayed], "weight_decay": 0.1}, {"params": [plain]}], momentum=0.0)
@@ -350,7 +336,9 @@ class TestBlockDraw:
             targets = lambda y: one_hot(y, k) * effective_number_weights(ds.class_counts)[y][:, None]
         block_sampler, step_sampler = Sampler(kind, ds, seed=11), Sampler(kind, ds, seed=11)
         block_rng, step_rng = np.random.default_rng(12), np.random.default_rng(12)
-        xs, qs = trainer._draw_block(block_sampler, block_rng, n, cfg=cfg, k=k, mixup=mixup, targets=targets)
+        xs, qs = trainer._draw_block(block_sampler, block_rng, n, cfg=cfg, k=k, mixup=mixup)
+        if targets is not None:  # as trainer._fit maps a block of labels
+            qs = targets(qs.ravel()).reshape(*qs.shape, k)
         assert xs.shape == (n, 7, ds.dim) and qs.shape == (n, 7, k)
         for x_block, q_block in zip(xs, qs):
             x, y = step_sampler.next_batch(7)
@@ -729,6 +717,20 @@ class TestAblationGrid:
                 assert cell["error"] == "non-finite loss at stage 1, epoch 0, step 2"
             else:
                 assert "error" not in cell and math.isfinite(cell["accuracy"])
+
+    @pytest.mark.parametrize("base", GRID_BASES)
+    def test_a_stage2_divergence_is_each_cells_error_as_a_solo_run_raises_it(self, ds, base):
+        base_cfg = tiny_cfg(**GRID_BASES[base], stage2_lr_scale=1e300)
+        cells = run_ablation_grid(base_cfg, ds)
+        assert len(cells) == len(ABLATION_CELLS) == 8
+        for cell, (mu, sl, las) in zip(cells, ABLATION_CELLS):
+            cfg = TrainConfig.from_dict(dict(dataclasses.asdict(base_cfg), mixup_stage1=mu, shift_bn=sl,
+                                             stage2_loss="las" if las else "ce"))
+            with pytest.raises(DivergenceError) as solo:
+                run(cfg, ds)
+            assert solo.value.stage == 2
+            assert cell == {"mixup_stage1": mu, "shift_bn": sl, "las": las, "seed": cfg.seed,
+                            "error": str(solo.value)}
 
 
 class TestArtifacts:
