@@ -11,9 +11,9 @@ skips both the ``r*W + dW`` add and the multiply by s.
 
 The head has the backbone layers' kernel pair: ``forward_arrays(x) -> (z, ctx)``
 and ``backward_arrays(ctx, g, input_grad) -> g_x``, which sets the learnable
-parameters' ``.grad``; training runs it. It also has ``eval_logits``, the same
-logits with no context, which scoring runs, a composite taped ``__call__`` and
-``parameters``.
+parameters' ``.grad``; training runs it, and the taped ``__call__`` is one tape
+node over it (``tensor.kernel_op``). It also has ``eval_logits``, the same
+logits with no context, which scoring runs, and ``parameters``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv
-from .tensor import Tensor
+from .tensor import Tensor, kernel_op
 
 __all__ = ["GeneralizedHead"]
 
@@ -54,8 +54,8 @@ class GeneralizedHead:
 
     def _unscaled(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(r * W + dW, x @ (r * W + dW))``: the logits before the scaling by s."""
-        if x.shape[1] != self.dw.shape[0]:
-            raise ValueError(f"feature width {x.shape[1]} != {self.dw.shape[0]}")
+        if x.ndim != 2 or x.shape[1] != self.dw.shape[0]:
+            raise ValueError(f"features of shape {x.shape} for a head of width {self.dw.shape[0]}")
         eff = self.dw.values if self.w is None else self.r * self.w + self.dw.values
         return eff, x @ eff
 
@@ -84,12 +84,8 @@ class GeneralizedHead:
         return g_z @ eff.T if input_grad else None
 
     def forward(self, x) -> Tensor:
-        """Logits as the composite ``(x @ (Tensor(r * W) + dW)) * s`` of
-        :meth:`forward_arrays`, or ``x @ dW`` with no W."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if self.w is None:
-            return x @ self.dw
-        return (x @ (Tensor(self.r * self.w) + self.dw)) * self.s
+        """The logits of :meth:`forward_arrays` as one tape node over the kernel pair."""
+        return kernel_op(self, x if isinstance(x, Tensor) else Tensor(x))
 
     __call__ = forward
 

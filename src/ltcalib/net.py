@@ -1,12 +1,14 @@
 """Layers and the MLP backbone: linear, ReLU, batch normalization with shift mode.
 
-Every layer, like the classifier in ``head``, has a taped ``__call__`` and a
-kernel pair on plain arrays: ``forward_arrays(x) -> (out, ctx)``, and
-``backward_arrays(ctx, g, input_grad) -> g_x``, which sets the layer's own
+Every layer, like the classifier in ``head``, holds its train-mode arithmetic
+once, as a kernel pair on plain arrays: ``forward_arrays(x) -> (out, ctx)``,
+and ``backward_arrays(ctx, g, input_grad) -> g_x``, which sets the layer's own
 parameters' ``.grad`` and returns x's gradient, or None when ``input_grad`` is
-false and the layer has parameters. Backbone layers also have
-``frozen_inplace``, their eval/shift forward on plain arrays, which may write
-over its input, ``parameters`` and ``state_arrays``.
+false and the layer has parameters. Training chains the pairs directly; the
+taped ``__call__`` is one tape node over the pair (``tensor.kernel_op``).
+Backbone layers also have ``frozen_inplace``, their eval/shift forward on
+plain arrays, which may write over its input, ``parameters`` and
+``state_arrays``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import _COUNT, _OBJECT, FormatError, check_fields, list_of, write_atomic, write_json
-from .tensor import Tensor, relu
+from .tensor import Tensor, kernel_op
 
 __all__ = ["Linear", "BatchNorm", "BackboneConfig", "Backbone", "save_checkpoint", "load_checkpoint"]
 
@@ -48,10 +50,9 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """The composite ``x @ W.T + b`` of :meth:`forward_arrays`."""
         if x.values.shape[1] != self.weight.values.shape[1]:
             raise ValueError(f"linear input width {x.values.shape[1]} != {self.weight.values.shape[1]}")
-        return x @ self.weight.T + self.bias
+        return kernel_op(self, x)
 
     def forward_arrays(self, x: np.ndarray):
         return x @ self.weight.values.T + self.bias.values, x
@@ -80,7 +81,7 @@ class ReLU:
     mode = TRAIN  # the same in every mode
 
     def __call__(self, x: Tensor) -> Tensor:
-        return relu(x)
+        return kernel_op(self, x)
 
     def forward_arrays(self, x: np.ndarray):
         mask = x > 0.0
@@ -129,18 +130,12 @@ class BatchNorm:
         self.mode = TRAIN
 
     def __call__(self, h: Tensor) -> Tensor:
-        """Train mode records the composite graph of :meth:`forward_arrays`;
-        eval and shift modes record nothing."""
+        """Train mode records one tape node over the kernel pair; eval and
+        shift modes record nothing."""
         if self.mode != TRAIN:
             _check_frozen_input(h, self.mode)
             return Tensor(self.normalize(h.values))
-        if h.values.shape[0] < 2:
-            raise ValueError("batch normalization needs batch size >= 2 in training modes")
-        mu = h.mean(axis=0)
-        diff = h - mu
-        var = (diff * diff).mean(axis=0)
-        self._update_running(mu.values, var.values)
-        return self.scale * (diff / (var + self.eps).sqrt()) + self.shift
+        return kernel_op(self, h)
 
     def forward_arrays(self, h: np.ndarray):
         """Train mode on arrays: normalize by the batch statistics and fold
@@ -148,9 +143,9 @@ class BatchNorm:
         m = h.shape[0]
         if m < 2:
             raise ValueError("batch normalization needs batch size >= 2 in training modes")
-        # The arithmetic, and in backward its order, is that of the composite
-        # graph mean -> diff -> var -> sqrt -> divide -> affine, so values,
-        # gradients and running statistics match it bit for bit.
+        # The arithmetic, and in backward its order, is that of the graph
+        # mean -> diff -> var -> sqrt -> divide -> affine, which
+        # tests/test_fused_ops.py builds from Tensor ops as the reference.
         inv_m = 1.0 / m
         mu = h.sum(axis=0) * inv_m
         diff = h - mu

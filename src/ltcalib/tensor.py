@@ -1,15 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small dynamic-tape engine: each operation records its parents and a closure
-that routes the incoming gradient back to them. Layers on the tape are
-composite graphs of the elementwise ops; ``softmax_cross_entropy`` is the one
-fused node, which records a single tape entry for the whole loss.
+that routes the incoming gradient back to them. The ops are ``+``, unary
+``-``, ``*``, ``**``, ``@``, ``sum``, ``exp``, ``relu``, ``log_softmax`` and
+``softmax``.
 
-Training and scoring run plain-array kernels instead, chained with no tape:
-each layer's ``forward_arrays``/``backward_arrays`` pair (in ``net`` and
-``head``) and the loss pair ``softmax_cross_entropy_forward``/``_backward``
-here. Each kernel repeats the arithmetic of its composite graph in the same
-order, so both give bit-identical values and gradients.
+A layer's arithmetic is written once, as its plain-array kernel pair
+(``forward_arrays``/``backward_arrays`` in ``net`` and ``head``), which
+training and scoring chain with no tape. On the tape a layer is one node over
+that pair (:func:`kernel_op`), and the loss is one node over
+``softmax_cross_entropy_forward``/``_backward``, so gradient checks on the
+tape check the code that trains.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tensor", "matmul", "relu", "log_softmax", "softmax", "softmax_inplace", "softmax_cross_entropy",
-    "softmax_cross_entropy_forward", "softmax_cross_entropy_backward",
+    "Tensor", "kernel_op", "matmul", "relu", "log_softmax", "softmax", "softmax_inplace",
+    "softmax_cross_entropy", "softmax_cross_entropy_forward", "softmax_cross_entropy_backward",
 ]
 
 
@@ -118,9 +119,6 @@ class Tensor:
 
         return Tensor._from_op(-self.values, (self,), backward)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_vals = self.values * other.values
@@ -133,18 +131,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out_vals = self.values / other.values
-
-        def backward(g):
-            self._accumulate(_unbroadcast(g / other.values, self.values.shape))
-            other._accumulate(
-                _unbroadcast(-g * self.values / (other.values**2), other.values.shape)
-            )
-
-        return Tensor._from_op(out_vals, (self, other), backward)
-
     def __pow__(self, exponent: float):
         out_vals = self.values**exponent
 
@@ -155,13 +141,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self):
-        def backward(g):
-            self._accumulate(g.T)
-
-        return Tensor._from_op(self.values.T, (self,), backward)
 
     # -- reductions and elementwise maps ----------------------------------------
 
@@ -176,23 +155,11 @@ class Tensor:
 
         return Tensor._from_op(out_vals, (self,), backward)
 
-    def mean(self, axis=None):
-        n = self.values.size if axis is None else self.values.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
     def exp(self):
         out_vals = np.exp(self.values)
 
         def backward(g):
             self._accumulate(g * out_vals)
-
-        return Tensor._from_op(out_vals, (self,), backward)
-
-    def sqrt(self):
-        out_vals = np.sqrt(self.values)
-
-        def backward(g):
-            self._accumulate(g * 0.5 / out_vals)
 
         return Tensor._from_op(out_vals, (self,), backward)
 
@@ -225,8 +192,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_vals, (a, b), backward)
 
 
+def kernel_op(layer, x: Tensor) -> Tensor:
+    """``layer`` applied to ``x`` as one tape node over its kernel pair: the
+    output of ``layer.forward_arrays``, whose backward runs
+    ``layer.backward_arrays`` and routes x's gradient into ``x``. The kernel
+    sets each parameter's ``.grad``; the node adds it to the ``.grad`` held
+    before, so a parameter reached by several nodes gets every contribution."""
+    out, ctx = layer.forward_arrays(x.values)
+    params = layer.parameters()
+
+    def backward(g):
+        held = [p.grad for p in params]
+        x._accumulate(layer.backward_arrays(ctx, g, x.requires_grad))
+        for p, grad in zip(params, held):
+            p.grad, new = grad, p.grad
+            p._accumulate(new)
+
+    return Tensor._from_op(out, (x, *params), backward)
+
+
 def relu(t: Tensor) -> Tensor:
-    """max(t, 0) as the composite ``t * (t > 0)`` of :class:`~ltcalib.net.ReLU`'s kernels."""
+    """max(t, 0) as ``t * (t > 0)``, the arithmetic of :class:`~ltcalib.net.ReLU`'s kernels."""
     return t * Tensor(t.values > 0.0)
 
 
@@ -304,11 +290,11 @@ def softmax_cross_entropy_backward(ctx, g=1.0) -> np.ndarray:
 
 
 def softmax_cross_entropy(q: np.ndarray, t: Tensor) -> Tensor:
-    """Mean over rows of -sum_i q_i log softmax(t)_i as one node.
+    """Mean over rows of -sum_i q_i log softmax(t)_i as one node over the
+    kernel pair that training runs.
 
-    The loss stays fused although the tape is only a reference: acceptance
-    gates 1, 2 and 4 run it in tight loops, and the composite graph made that
-    suite about 22% slower.
+    Acceptance gates 1, 2 and 4 run it in tight loops, where the composite
+    graph made that suite about 22% slower.
 
     ``q`` is a constant (m, K) target matrix; ``t`` holds logits of the same
     shape (or one 1-D row when m == 1). Same values and gradients as

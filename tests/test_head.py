@@ -33,6 +33,8 @@ class TestDegenerations:
     def test_feature_width_mismatch(self, w, rng):
         with pytest.raises(ValueError):
             GeneralizedHead(w)(rng.standard_normal((2, 5)))
+        with pytest.raises(ValueError):  # one row of the right width, but not a batch
+            GeneralizedHead(w)(rng.standard_normal(w.shape[0]))
 
 
 class TestParamGroups:
